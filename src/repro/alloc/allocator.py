@@ -160,6 +160,7 @@ class TCMalloc:
 
             self._fastpath = fastpath_for(self)
             self._slowpath = slowpath_for(self)
+        self.machine.record_twins(self, self._fastpath, self._slowpath)
 
     # ------------------------------------------------------------------ malloc
     def malloc(self, size: int) -> tuple[int, CallRecord]:
@@ -550,6 +551,9 @@ class TCMalloc:
                 self.records.append(record)
             self._post_schedule(None, None)
             return record
+        if (path is Path.FAST or path is Path.FREE_FAST) and not sampled:
+            # A fast-path shape no fused twin served (see Machine.twins).
+            self.machine.object_path_fast_calls += 1
         site = _INTERN_SITES.get((kind, path))
         prof = self.machine.profiler
         ablated: dict[str, int] = {}

@@ -67,14 +67,32 @@ class Machine:
     TLB are left stale, to be re-warmed by the sampling slack).  Set by the
     sampled runner around unsampled intervals — exact replays never touch
     it, so the detailed path is byte-identical with this field present."""
+    twins: dict[str, str] = field(default_factory=dict)
+    """Fused twins each allocator type built on this machine got at
+    construction (``fast+slow``, ``fast``, ``slow`` or ``none``; see
+    :meth:`record_twins`)."""
+    object_path_calls: int = 0
+    """Detailed calls that emitted through :meth:`new_emitter` — every call
+    no fused twin served (the canary checks of ``DebugAllocator`` count
+    too).  Twin-served calls never reach this counter."""
+    object_path_fast_calls: int = 0
+    """The subset of ``object_path_calls`` with a fast-path shape (an
+    unsampled ``fast``/``free_fast`` call), which a fast twin would serve."""
 
     def new_emitter(self) -> "Emitter | FunctionalEmitter":
         warming = self.warming
         if warming is None:
+            self.object_path_calls += 1
             return Emitter(self)
         if warming == "warm":
             return WarmingEmitter(self)
         return FunctionalEmitter(self)
+
+    def record_twins(self, alloc, fastpath=None, slowpath=None) -> None:
+        """Note which fused twins ``alloc`` got, by its exact type name."""
+        got = [name for name, twin in (("fast", fastpath), ("slow", slowpath))
+               if twin is not None]
+        self.twins[type(alloc).__name__] = "+".join(got) or "none"
 
     def advance(self, cycles: int) -> None:
         if cycles < 0:

@@ -36,7 +36,10 @@ and TLB access, matching what the priced trace observes.
 
 Registration is by exact allocator type (:func:`register_fastpath` /
 :func:`fastpath_for`): subclasses that override emission hooks do not
-inherit a twin unless they register their own.
+inherit a twin unless they register their own, and a subclass whose hooks
+are exactly a registered type's registers that type's twin.  Each machine
+records the twins its allocators got and counts the calls no twin served
+(``Machine.twins`` / ``Machine.object_path_calls``).
 """
 
 from __future__ import annotations

@@ -153,12 +153,17 @@ class MultiThreadAllocator:
         ``clock + quantum`` (which would let the timer drift by each call's
         latency).  A long application gap that crosses several boundaries
         counts one context switch per boundary; the cache flush itself is
-        idempotent, so it runs once."""
+        idempotent, so it runs once.
+
+        The clock is the issuing core's: in coherent mode the runners
+        advance only that core through the application gap before its call
+        (:func:`repro.harness.runner.issuing_core`)."""
         self.running_tid = tid
-        if self.machine.clock < self._next_preemption:
+        clock = self.core_machines[tid].clock
+        if clock < self._next_preemption:
             return
         quantum = self.switch_quantum_cycles
-        crossed = (self.machine.clock - self._next_preemption) // quantum + 1
+        crossed = (clock - self._next_preemption) // quantum + 1
         self._next_preemption += crossed * quantum
         self.context_switches += crossed
         if self.context_switch_flushes and self.accelerated:
@@ -266,12 +271,13 @@ class MultiThreadAllocator:
         self.shared.page_heap.check_invariants()
 
 
-# Columnar-engine refill twin for thread views: every emission hook a
-# _ThreadView inherits is the Mallacc variant (MallaccFastPathMixin), so the
-# Mallacc refill twin is its exact mirror.  No fast-path twin is registered
-# — per-thread fast paths stay on the reference emitter — but refills
-# dominate MT slow traffic and carry the lock/transfer-cache state the
-# differential grid pins.
+# Columnar-engine twins for thread views.  A _ThreadView is
+# MallaccFastPathMixin over TCMalloc, exactly like MallaccTCMalloc, so every
+# emission hook it has is MallaccTCMalloc's and both Mallacc twins mirror it:
+# per-thread fast paths and refills (with the lock/transfer-cache state the
+# differential grid pins) emit through the fused twins.
+from repro.alloc.fastpath import MallaccFastPath, register_fastpath  # noqa: E402
 from repro.alloc.slowpath import MallaccSlowPath, register_slowpath  # noqa: E402
 
+register_fastpath(_ThreadView, MallaccFastPath)
 register_slowpath(_ThreadView, MallaccSlowPath)

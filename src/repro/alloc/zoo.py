@@ -80,6 +80,7 @@ class TimedHoard:
         self.machine = self.inner.machine
         self.config = self.inner.config
         _apply_engine_overrides(self.machine, memoize_traces, intern_traces)
+        self.machine.record_twins(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 
@@ -211,6 +212,7 @@ class TimedBuddy:
         self.machine = self.inner.machine
         self.config = self.inner.config
         _apply_engine_overrides(self.machine, memoize_traces, intern_traces)
+        self.machine.record_twins(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 

@@ -374,6 +374,7 @@ def cmd_profile(args: argparse.Namespace) -> None:
         allocator, ops, name=workload.name, profiler=profiler
     )
     summary = profiler.summary()
+    summary["twins"] = dict(result.manifest.twins)
     if args.json:
         print(json.dumps(summary, sort_keys=True))
         return
@@ -381,6 +382,8 @@ def cmd_profile(args: argparse.Namespace) -> None:
     print(f"workload          : {workload.name}  "
           f"({len(ops)} ops, seed {args.seed}, {flavor})")
     print(f"allocator cycles  : {result.allocator_cycles}")
+    twins = ", ".join(f"{k}={v}" for k, v in result.manifest.twins)
+    print(f"fused twins       : {twins}")
     print()
     print(render_profile(summary))
 

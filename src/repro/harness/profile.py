@@ -19,7 +19,9 @@ collects, per replay:
   is reported as the derived ``emission`` stage.
 * **counters** — allocator calls and uops seen, plus end-of-run deltas of
   the intern table (hits/misses), the trace-scheduling cache (hits/misses),
-  and the cache hierarchy (probes = L1 lookups, DRAM accesses).
+  the cache hierarchy (probes = L1 lookups, DRAM accesses), and the calls
+  no fused twin served (``object_path_calls``, of which
+  ``object_path_fast_calls`` had a fast-path shape).
 
 The profiler is strictly opt-in: every hook site guards on
 ``machine.profiler is not None``, so a disabled profiler costs one attribute
@@ -187,11 +189,18 @@ def machine_counter_snapshot(machines) -> dict[str, int]:
         "trace_cache_misses": 0,
         "columnar_templates_compiled": 0,
         "columnar_uops_compiled": 0,
+        "object_path_calls": 0,
+        "object_path_fast_calls": 0,
     }
+    seen_machines: set[int] = set()
     seen_l1: set[int] = set()
     seen_interners: set[int] = set()
     seen_timings: set[int] = set()
     for machine in machines:
+        if id(machine) not in seen_machines:
+            seen_machines.add(id(machine))
+            totals["object_path_calls"] += machine.object_path_calls
+            totals["object_path_fast_calls"] += machine.object_path_fast_calls
         l1 = machine.hierarchy.l1
         if id(l1) not in seen_l1:
             seen_l1.add(id(l1))

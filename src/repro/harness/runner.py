@@ -59,6 +59,15 @@ class AppTraffic:
         self.offset = (self.offset + lines * 64) % _APP_REGION_BYTES
 
 
+def issuing_core(machines, tid: int):
+    """The machine of the core that issues thread ``tid``'s calls (core 0
+    for a thread id past the machine list).  A call's application gap
+    advances this core's clock and its application traffic streams through
+    this core's hierarchy; in coherent mode the call then starts at the
+    post-gap clock instead of overlapping the gap."""
+    return machines[tid] if tid < len(machines) else machines[0]
+
+
 def dispatch_call(allocator, op: Op, slots: dict[int, int]) -> CallRecord:
     """Execute one malloc/free/sized-free op against the single-allocator
     API, maintaining the slot→pointer table.  Shared by :func:`run_workload`
@@ -330,7 +339,7 @@ def run_workload(
         [machine], cache_before
     )
     result.intern_hits, result.intern_misses = _intern_delta([machine], intern_before)
-    result.manifest = manifest.finished(perf_counter() - wall_t0)
+    result.manifest = manifest.finished(perf_counter() - wall_t0, (machine,))
     if tracer.enabled:
         tracer.complete(
             "run_workload", trace_t0, tracer.now_us() - trace_t0,
@@ -585,8 +594,9 @@ def run_workload_sampled(
     rounds = 0
     while True:
         rounds += 1
+        allocator = allocator_factory()
         result = _sampled_pass(
-            allocator_factory(), ops, cfg, plan, name, model_app_traffic, profiler
+            allocator, ops, cfg, plan, name, model_app_traffic, profiler
         )
         result.rounds = rounds
         done = (
@@ -595,7 +605,9 @@ def run_workload_sampled(
         )
         denser = None if done else cfg.escalated()
         if done or denser is None or rounds >= cfg.max_rounds:
-            result.manifest = manifest.finished(perf_counter() - wall_t0)
+            result.manifest = manifest.finished(
+                perf_counter() - wall_t0, (allocator.machine,)
+            )
             if tracer.enabled:
                 tracer.complete(
                     "run_workload_sampled", trace_t0, tracer.now_us() - trace_t0,
@@ -921,12 +933,12 @@ def run_multithreaded(
                 for machine in _distinct_machines(machines):
                     machine.hierarchy.antagonize()
             continue
+        core = issuing_core(machines, op.tid)
         if op.gap_cycles:
-            mt_allocator.machine.advance(op.gap_cycles)
+            core.advance(op.gap_cycles)
             if not op.warmup:
                 result.app_cycles += op.gap_cycles
         if op.app_lines and model_app_traffic:
-            core = machines[op.tid] if op.tid < len(machines) else machines[0]
             app.touch(core.hierarchy, op.app_lines)
         record = dispatch_call_mt(mt_allocator, op, slots)
         if op.warmup:
@@ -946,7 +958,7 @@ def run_multithreaded(
     stats = mt_allocator.coherence_stats()
     if stats is not None:
         result.coherence_transfers = stats.remote_transfers
-    result.manifest = manifest.finished(perf_counter() - wall_t0)
+    result.manifest = manifest.finished(perf_counter() - wall_t0, machines)
     if tracer.enabled:
         tracer.complete(
             "run_multithreaded", trace_t0, tracer.now_us() - trace_t0,

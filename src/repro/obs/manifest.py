@@ -25,7 +25,7 @@ import platform
 import subprocess
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
 
 def _package_version() -> str:
@@ -106,10 +106,14 @@ class RunManifest:
     """Replay engine (``columnar`` | ``reference``) the run executed on.
     Engines are bit-identical on results, so this is provenance — but a
     cross-engine ``repro report --compare`` deserves a flag, not silence."""
+    twins: tuple[tuple[str, str], ...] = ()
+    """Fused twins each allocator type of the run got at construction
+    (``fast+slow``, ``fast``, ``slow`` or ``none``): every type short of
+    ``fast+slow`` emits some calls through the slower object path."""
 
     def to_dict(self) -> dict:
         payload = asdict(self)
-        for key in ("env", "config", "extra"):
+        for key in _MAPPING_FIELDS:
             payload[key] = {k: v for k, v in payload[key]}
         return payload
 
@@ -119,24 +123,33 @@ class RunManifest:
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RunManifest":
         data = dict(payload)
-        for key in ("env", "config", "extra"):
+        for key in _MAPPING_FIELDS:
             mapping = data.get(key, {}) or {}
             data[key] = tuple(sorted((str(k), str(v)) for k, v in mapping.items()))
         known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
         return cls(**{k: v for k, v in data.items() if k in known})
 
-    def finished(self, wall_seconds: float) -> "RunManifest":
-        """A copy with the wall time filled in (manifests are frozen)."""
-        return replace(self, wall_seconds=wall_seconds)
+    def finished(self, wall_seconds: float, machines: Iterable = ()) -> "RunManifest":
+        """A copy with the wall time filled in (manifests are frozen), and
+        the twin coverage recorded on the run's simulated ``machines``."""
+        twins = {k: v for machine in machines for k, v in machine.twins.items()}
+        return replace(self, wall_seconds=wall_seconds, twins=tuple(sorted(twins.items())))
 
     def describe(self) -> str:
         """One-line human rendering for reports and logs."""
         env = ",".join(f"{k}={v}" for k, v in self.env) or "-"
         engine = f" engine={self.engine}" if self.engine else ""
+        twins = ",".join(f"{k}={v}" for k, v in self.twins)
+        twins = f" twins[{twins}]" if twins else ""
         return (
             f"config={self.config_hash} seed={self.seed} git={self.git_sha[:12]} "
-            f"v{self.package_version}{engine} env[{env}] wall={self.wall_seconds:.3f}s"
+            f"v{self.package_version}{engine}{twins} env[{env}] "
+            f"wall={self.wall_seconds:.3f}s"
         )
+
+
+#: Fields stored as sorted ``(key, value)`` pairs and serialized as objects.
+_MAPPING_FIELDS = ("env", "config", "extra", "twins")
 
 
 def collect_manifest(

@@ -48,7 +48,12 @@ from time import perf_counter
 from repro.alloc.multithread import MultiThreadAllocator
 from repro.alloc.zoo import get_allocator
 from repro.core.malloc_cache import MallocCacheConfig
-from repro.harness.runner import AppTraffic, dispatch_call, dispatch_call_mt
+from repro.harness.runner import (
+    AppTraffic,
+    dispatch_call,
+    dispatch_call_mt,
+    issuing_core,
+)
 from repro.obs.manifest import RunManifest, collect_manifest
 from repro.obs.tracer import get_tracer
 from repro.sim.sampling import SamplePlan, bootstrap_total_ci, plan_systematic
@@ -475,15 +480,27 @@ def run_traffic(
         else:
             result.skipped_requests += 1
 
+    core_ids = range(cores)
+
+    def _next_core() -> int:
+        """The busy core with the smallest (vclock, index), or -1 when every
+        core is idle.  Its clock is the admission floor: no busy core runs
+        an op before it."""
+        best = -1
+        for i in core_ids:
+            if active[i] is not None and (best < 0 or vclock[i] < vclock[best]):
+                best = i
+        return best
+
+    c = -1
     while True:
-        busy = [c for c in range(cores) if active[c] is not None]
-        if not busy:
+        if c < 0:
             if not pending:
                 break
             _admit(pending[0][0])
             _start_ready()
+            c = _next_core()
             continue
-        c = min(busy, key=lambda i: (vclock[i], i))
         a = active[c]
         op = a.session.ops[a.pos]
         a.pos += 1
@@ -493,15 +510,13 @@ def run_traffic(
             else:
                 machines[0].hierarchy.antagonize()
         elif a.detailed:
+            core = issuing_core(machines, c)
             if op.gap_cycles:
-                (mt.machine if mt is not None else machines[0]).advance(
-                    op.gap_cycles
-                )
+                core.advance(op.gap_cycles)
                 if not op.warmup:
                     result.app_cycles += op.gap_cycles
             if op.app_lines:
-                core_machine = machines[c] if c < len(machines) else machines[0]
-                app.touch(core_machine.hierarchy, op.app_lines)
+                app.touch(core.hierarchy, op.app_lines)
             if mt is not None:
                 record = dispatch_call_mt(mt, op, slots, tid=c)
             else:
@@ -524,12 +539,20 @@ def run_traffic(
                 a.calls += 1
                 a.gap_cycles += op.gap_cycles
                 vclock[c] += op.gap_cycles
-        if a.pos == len(a.session.ops):
+        done = a.pos == len(a.session.ops)
+        if done:
             _finish(c)
-        floor = min(vclock[i] for i in range(cores) if active[i] is not None) \
-            if any(s is not None for s in active) else vclock[c]
-        _admit(floor)
-        _start_ready()
+        nxt = _next_core()
+        # Admitting and starting change nothing unless an arrival is due by
+        # the floor (this core's clock when every core is idle) or the core
+        # just freed has queued sessions: every other idle core's queue was
+        # drained by the _start_ready that followed its last admission.
+        floor = vclock[nxt] if nxt >= 0 else vclock[c]
+        if (pending and pending[0][0] <= floor) or (done and queues[c]):
+            _admit(floor)
+            _start_ready()
+            nxt = _next_core()
+        c = nxt
 
     if plan is not None and interval_values:
         result.alloc_cycles_ci = bootstrap_total_ci(
@@ -541,7 +564,7 @@ def run_traffic(
         result.contention_cycles = mt.contention_cycles()
         result.context_switches = getattr(mt, "context_switches", 0)
     result.check_conservation()
-    result.manifest = manifest.finished(perf_counter() - wall_t0)
+    result.manifest = manifest.finished(perf_counter() - wall_t0, machines)
     if tracer.enabled:
         tracer.complete(
             "run_traffic", trace_t0, tracer.now_us() - trace_t0,

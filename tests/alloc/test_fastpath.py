@@ -3,10 +3,11 @@
 The columnar engine replaces the emit-then-schedule fast paths with
 straight-line priced twins (:mod:`repro.alloc.fastpath`).  The twin
 registry keys on the allocator's *exact* type — subclasses that override
-emission hooks (``DebugAllocator``) silently fall back to the object
-path — and every twin guard bails to ``None`` before mutating anything,
-so slow paths, invalid arguments, and forensic wrappers behave exactly
-as on the reference engine.
+emission hooks (``DebugAllocator``) fall back to the object path, which
+each machine records (``Machine.twins``) and counts
+(``Machine.object_path_calls``) — and every twin guard bails to ``None``
+before mutating anything, so slow paths, invalid arguments, and forensic
+wrappers behave exactly as on the reference engine.
 """
 
 import os
@@ -16,7 +17,11 @@ import pytest
 
 from repro.alloc.allocator import Path, TCMalloc
 from repro.alloc.debug import POISON, DebugAllocator
+from repro.alloc.multithread import MultiThreadAllocator
+from repro.alloc.zoo import get_allocator
 from repro.core.accel_allocator import MallaccTCMalloc
+from repro.harness.runner import run_workload
+from repro.workloads import MICROBENCHMARKS
 
 
 @contextmanager
@@ -53,6 +58,109 @@ class TestRegistry:
         with _engine("reference"):
             assert TCMalloc()._fastpath is None
             assert MallaccTCMalloc()._fastpath is None
+
+    def test_thread_view_gets_the_mallacc_twins(self):
+        """A multithreaded accelerated view has exactly MallaccTCMalloc's
+        emission hooks, so it is registered for both Mallacc twins."""
+        from repro.alloc.fastpath import MallaccFastPath
+        from repro.alloc.slowpath import MallaccSlowPath
+
+        with _engine(None):
+            for view in MultiThreadAllocator(2, accelerated=True).threads:
+                assert type(view).__name__ == "_ThreadView"
+                assert isinstance(view._fastpath, MallaccFastPath)
+                assert isinstance(view._slowpath, MallaccSlowPath)
+        with _engine("reference"):
+            for view in MultiThreadAllocator(2, accelerated=True).threads:
+                assert view._fastpath is None
+                assert view._slowpath is None
+
+
+def _zoo_and_wrappers():
+    """One instance of every allocator type a run can build."""
+    spec = {name: get_allocator(name) for name in ("jemalloc", "hoard", "buddy")}
+    return [
+        TCMalloc(),
+        MallaccTCMalloc(),
+        DebugAllocator(),
+        spec["jemalloc"].baseline(),
+        spec["jemalloc"].mallacc(),
+        spec["hoard"].baseline(),
+        spec["buddy"].baseline(),
+        MultiThreadAllocator(2, accelerated=True),
+    ]
+
+
+class TestTwinCoverage:
+    """Twin fallback is loud: machines record which twins each allocator
+    type got, and count every detailed call the twins did not serve."""
+
+    COLUMNAR = {
+        "TCMalloc": "fast+slow",
+        "MallaccTCMalloc": "fast+slow",
+        "_ThreadView": "fast+slow",
+        "Jemalloc": "fast",
+        "MallaccJemalloc": "none",
+        "DebugAllocator": "none",
+        "TimedHoard": "none",
+        "TimedBuddy": "none",
+    }
+
+    @pytest.mark.parametrize("engine", [None, "reference"])
+    def test_machines_record_coverage(self, engine):
+        with _engine(engine):
+            allocs = _zoo_and_wrappers()
+        recorded = {}
+        for alloc in allocs:
+            recorded.update(alloc.machine.twins)
+        if engine is None:
+            assert recorded == self.COLUMNAR
+        else:
+            assert recorded == dict.fromkeys(self.COLUMNAR, "none")
+
+    def test_twin_served_calls_are_not_counted(self):
+        with _engine(None):
+            alloc = MallaccTCMalloc()
+            _churn(alloc)
+        assert alloc.machine.object_path_calls == 0
+        assert alloc.machine.object_path_fast_calls == 0
+
+    def test_object_path_calls_are_counted(self):
+        with _engine("reference"):
+            alloc = TCMalloc()
+            records = _churn(alloc)
+        fast = sum(path in ("fast", "free_fast") for _, _, path in records)
+        assert alloc.machine.object_path_calls == len(records)
+        assert alloc.machine.object_path_fast_calls == fast > 0
+
+    def test_slow_shapes_without_a_twin_are_not_fast_fallbacks(self):
+        with _engine(None):
+            alloc = TCMalloc()
+            ptr, _ = alloc.malloc(alloc.config.max_size + 4096)
+            alloc.free(ptr)
+        assert alloc.machine.object_path_calls == 2
+        assert alloc.machine.object_path_fast_calls == 0
+
+    def test_unregistered_subclass_counts_fast_fallbacks(self):
+        with _engine(None):
+            alloc = DebugAllocator()
+            records = _churn(alloc)
+        assert alloc.machine.object_path_fast_calls > 0
+        # Each malloc and free also runs one canary emitter.
+        assert alloc.machine.object_path_calls == 2 * len(records)
+
+    def test_manifest_and_profile_surface_coverage(self):
+        from repro.harness.profile import HotPathProfiler
+
+        ops = list(MICROBENCHMARKS["tp_small"].ops(seed=3, num_ops=200))
+        with _engine(None):
+            jem = get_allocator("jemalloc").mallacc()
+        prof = HotPathProfiler()
+        result = run_workload(jem, ops, profiler=prof)
+        assert result.manifest.twins == (("MallaccJemalloc", "none"),)
+        assert "twins[MallaccJemalloc=none]" in result.manifest.describe()
+        assert prof.counters["object_path_calls"] == jem.machine.object_path_calls > 0
+        assert prof.counters["object_path_fast_calls"] > 0
 
 
 def _churn(alloc, sizes=(16, 48, 128, 16, 96, 16, 16)):

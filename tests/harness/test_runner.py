@@ -322,6 +322,22 @@ class TestMultithreadRunnerParity:
         assert mt.stats[0].cycles == result.per_thread_cycles[0]
         assert mt.stats[1].warmup_calls == 0
 
+    @pytest.mark.parametrize("coherent", [False, True], ids=["flat", "coherent"])
+    def test_gap_advances_the_issuing_core(self, coherent):
+        """A gap is application time on the issuing thread's core, so the
+        thread's call starts after it: the final clock is gaps plus call
+        cycles in both modes.  Coherent mode once advanced core 0 instead
+        and let the gap overlap the call on core 1 (104,887 < 113,904)."""
+        mt = MultiThreadAllocator(2, coherent=coherent)
+        ops = [
+            Op(OpKind.MALLOC, size=64, slot=i, tid=1, gap_cycles=500)
+            for i in range(200)
+        ]
+        result = run_multithreaded(mt, ops)
+        assert result.app_cycles == 200 * 500
+        expected = result.app_cycles + result.allocator_cycles
+        assert [m.clock for m in mt.core_machines] == [expected, expected]
+
     def test_app_traffic_touches_issuing_cores_cache(self):
         mt = MultiThreadAllocator(2, coherent=True)
         ops = [

@@ -36,7 +36,7 @@ from repro.harness.runner import run_multithreaded, run_workload
 from repro.harness.sweeps import sweep_cache_sizes
 from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS, class_thrash
 from repro.workloads.base import Op, OpKind, Workload
-from repro.workloads.threads import balanced_churn
+from repro.workloads.threads import balanced_churn, producer_consumer
 
 #: (engine env value or None for the columnar default,
 #:  cache impl env value or None for the O(1) default,
@@ -429,6 +429,53 @@ class TestRefillTwins:
         unparks = sum(c[6] for c in outs[0]["central"])
         assert waits > 0, "no contended lock waits"
         assert parks > 0 and unparks > 0, "no transfer-cache traffic"
+
+
+class TestThreadViewTwins:
+    """Accelerated multithreaded views emit through the fused Mallacc twins
+    on every core.  The coherent leg drives them through per-core
+    ``CoherentHierarchy`` instances and the shared directory; the flat leg
+    is ``TestRefillTwins.test_mt_refill_contention``."""
+
+    @pytest.mark.parametrize(
+        "workload",
+        [balanced_churn(3), producer_consumer(1, 2)],
+        ids=lambda w: w.name,
+    )
+    def test_coherent_accelerated_bit_identical(self, workload):
+        from dataclasses import asdict
+
+        from repro.harness.profile import machine_counter_snapshot
+
+        outs = []
+        for engine in ("reference", None):
+            with _engine_env(engine, None):
+                mt = MultiThreadAllocator(3, accelerated=True, coherent=True)
+                result = run_multithreaded(
+                    mt, workload.ops(seed=5, num_ops=3000), name=workload.name
+                )
+            attached = [view._fastpath is not None for view in mt.threads]
+            assert attached == [engine is None] * 3
+            if engine is None:
+                counters = machine_counter_snapshot(mt.core_machines)
+                assert counters["object_path_fast_calls"] == 0
+            outs.append({
+                "cycles": [r.cycles for r in result.records],
+                "paths": [r.path.value for r in result.records],
+                "clocks": [m.clock for m in mt.core_machines],
+                "per_thread": [
+                    (s.mallocs, s.frees, s.cycles, s.warmup_cycles) for s in mt.stats
+                ],
+                "directory": asdict(mt.coherence_stats()),
+                "contention": result.contention_cycles,
+                "context_switches": mt.context_switches,
+                "malloc_caches": [
+                    (v.malloc_cache.stats.sz_hits, v.malloc_cache.stats.pop_hits)
+                    for v in mt.threads
+                ],
+            })
+        assert outs[0] == outs[1]
+        assert outs[0]["directory"]["remote_transfers"] > 0
 
 
 class TestSampled:

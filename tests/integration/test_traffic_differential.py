@@ -8,6 +8,10 @@ allocator.  This pins the refactor: ``dispatch_call`` and the traffic
 scheduler execute the one true timing path, not a parallel reimplementation
 that could drift.
 
+On four cores the columnar engine must match the reference engine call
+for call and request for request, with every fast-path call of both
+flavours served by a fused twin.
+
 A subprocess battery then holds the full engine (multicore, poisson
 arrivals included) byte-identical across processes and ``PYTHONHASHSEED``
 values — the repository-wide determinism contract.
@@ -78,6 +82,44 @@ def test_degenerate_sessions_chunk_exactly():
     ops = list(ALL[name].ops(seed=SEED, num_ops=OPS))
     sessions = stream_sessions(ALL[name], OPS, 24, seed=SEED)
     assert [op for s in sessions for op in s.ops] == ops
+
+
+@pytest.mark.parametrize("accelerated", [False, True], ids=["baseline", "mallacc"])
+def test_multicore_engines_agree_and_twins_serve_fast_paths(accelerated, monkeypatch):
+    from repro.harness.profile import machine_counter_snapshot
+    from repro.traffic import engine as traffic_engine
+
+    built = []
+    make = traffic_engine._make_allocators
+
+    def spy(*args, **kwargs):
+        out = make(*args, **kwargs)
+        built.append(out[1])
+        return out
+
+    monkeypatch.setattr(traffic_engine, "_make_allocators", spy)
+    config = TrafficConfig(
+        workload="xapian.abstracts", arrival="poisson", rps=200.0,
+        duration_s=0.4, cores=4, ops_per_request=24, seed=SEED,
+    )
+    outs = {}
+    for engine in ("reference", "columnar"):
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        res = run_traffic(config, accelerated=accelerated, cache_entries=32)
+        counters = machine_counter_snapshot(built[-1])
+        outs[engine] = (
+            res.call_cycles,
+            [(r.index, r.core, r.arrival, r.start, r.completion, r.alloc_cycles,
+              r.calls, r.warmup) for r in res.requests],
+            res.contention_cycles,
+            res.context_switches,
+        )
+        if engine == "columnar":
+            assert counters["object_path_fast_calls"] == 0
+        else:
+            assert counters["object_path_fast_calls"] > 0
+    assert outs["columnar"] == outs["reference"]
+    assert len({core for _, core, *_ in outs["columnar"][1]}) == 4
 
 
 _HASHSEED_SCRIPT = r"""
