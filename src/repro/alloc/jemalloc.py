@@ -110,6 +110,9 @@ class JemallocSizeClassTable(SizeClassTable):
     def emit_lookup(self, em: Emitter, size: int) -> LookupResult:
         """jemalloc's size2index: one shift-based index computation plus two
         dependent table loads — the same shape Mallacc accelerates."""
+        # One alu where Figure 5 has two, with no branch to show it: noted,
+        # so the template key never aliases TCMalloc's lookup.
+        em.note(("size2index", True))
         idx = (size + 7) >> 3
         shift = em.alu(tag=Tag.SIZE_CLASS)
         array_word = self.class_array_addr + (idx // 8) * 8

@@ -17,14 +17,15 @@ token and latency tuples directly, and interns the result via
 ``interner.intern(site, tokens, latencies, materialize)``.
 
 Refill shapes are variable-length (batch moves, carve counts, probe chains),
-so unlike the fast paths their structures cannot be enumerated up front.
-Instead every data-dependent decision is a structural token (``("carve",
-n)``, ``("pm_probes", n)``, ``("release_at", i)``, ...), and the static
-structure is *compiled from the token stream* on first sight
-(:func:`compile_struct`), keyed by ``(site, tokens)`` in a process-wide
+so every data-dependent decision is a structural token (``("carve", n)``,
+``("pm_probes", n)``, ``("release_at", i)``, ...), and the static structure
+is *compiled from the token stream* on first sight (:func:`compile_struct`),
+keyed by ``(site, tokens)`` in a process-wide
 :class:`~repro.sim.columns.StructStore`.  The size class and every count are
 inside the tokens, so one compiled structure serves every call of that
-shape; ``materialize`` runs only on an intern miss.
+shape; ``materialize`` runs only on an intern miss.  The fast-path twins get
+their structures from the same compiler and share the intern/price/record
+tail (:func:`_finish`), so every twin shape is written down once.
 
 Cycle counts, runner statistics, cache/TLB/predictor state, lock/contention
 counters and every intern/trace-cache counter are bit-identical to the
@@ -55,7 +56,7 @@ from repro.alloc.constants import (
     K_MIN_SYSTEM_ALLOC_PAGES,
     K_PAGE_SHIFT,
 )
-from repro.alloc.fastpath import _pagemap_words, _sz_commit, _sz_scan
+from repro.alloc.page_heap import _PAGEMAP_LEAF_PAGES
 from repro.alloc.size_classes import class_index
 from repro.alloc.span import Span, SpanState
 from repro.sim.columns import StructBuilder, StructStore
@@ -69,11 +70,11 @@ _STRUCTS = StructStore()
 # --------------------------------------------------------------------------
 # Token-stream structure compiler.
 #
-# A refill template's tokens pin its whole variable-length shape: branch
-# outcomes in emission order plus every note()-d count and mid-flight
-# decision.  The compiler walks the token tuple exactly as the emitting
-# code would have walked its control flow, replaying the uop record
-# sequence (kinds, dependence edges, tags, sequential address slots).
+# A twin template's tokens pin its whole shape, fast or variable-length
+# refill: branch outcomes in emission order plus every note()-d count and
+# mid-flight decision.  The compiler walks the token tuple exactly as the
+# emitting code would have walked its control flow, replaying the uop
+# record sequence (kinds, dependence edges, tags, sequential address slots).
 # Count tokens are noted *after* their uops in the reference (pm_probes at
 # the end of a probe chain) but with no tokens in between, so consuming
 # them first is safe: only the uop record order and the token tuple order
@@ -97,7 +98,7 @@ class _Template:
         tok = self.toks[self.i] if self.i < len(self.toks) else None
         if tok is None or tok[0] != name:
             raise AssertionError(
-                f"refill template: expected {name!r} at token {self.i}, got {tok!r}"
+                f"twin template: expected {name!r} at token {self.i}, got {tok!r}"
             )
         self.i += 1
         return tok[1]
@@ -136,18 +137,23 @@ class _Template:
     def end(self) -> tuple:
         if self.i != len(self.toks):
             raise AssertionError(
-                f"refill template: {len(self.toks) - self.i} unconsumed tokens "
+                f"twin template: {len(self.toks) - self.i} unconsumed tokens "
                 f"starting at {self.toks[self.i]!r}"
             )
         return self.b.done()
 
 
 def _sw_lookup(t: _Template) -> tuple[int, int]:
-    """The Figure 5 software size-class lookup: add, shift, two loads."""
+    """The Figure 5 software size-class lookup: add, shift, two loads —
+    or, after a ``size2index`` token, jemalloc's single shift."""
     b = t.b
-    add = b.alu((), Tag.SIZE_CLASS)
-    shift = b.alu((add,), Tag.SIZE_CLASS)
-    cls_uop = t.nload((shift,), Tag.SIZE_CLASS)
+    if t.peek() == "size2index":
+        t.take("size2index")
+        index = b.alu((), Tag.SIZE_CLASS)
+    else:
+        add = b.alu((), Tag.SIZE_CLASS)
+        index = b.alu((add,), Tag.SIZE_CLASS)
+    cls_uop = t.nload((index,), Tag.SIZE_CLASS)
     size_uop = t.nload((cls_uop,), Tag.SIZE_CLASS)
     return cls_uop, size_uop
 
@@ -276,8 +282,9 @@ def _compile_release(t: _Template, deps: tuple, mallacc: bool) -> None:
 
 
 def _compile_malloc(tokens: tuple) -> tuple:
-    """``malloc:central`` / ``malloc:page`` (they share one grammar; the
-    site only records which pool ultimately satisfied the call)."""
+    """``malloc:fast`` / ``malloc:central`` / ``malloc:page`` (they share
+    one grammar: a refill follows an empty list, and the site only records
+    which pool ultimately satisfied the call)."""
     t = _Template(tokens)
     b = t.b
     for _ in range(6):
@@ -300,12 +307,12 @@ def _compile_malloc(tokens: tuple) -> tuple:
     else:
         cls_uop, size_uop = _sw_lookup(t)
     addr_uop = b.alu((cls_uop,))
-    t.branch("tc_list_empty", (addr_uop,))
-    num = t.take("central_remove")
-    _compile_remove(t, num, (addr_uop,))
-    dep: tuple = (addr_uop,)
-    for _ in range(num):
-        dep = (_compile_push(t, dep, mallacc),)
+    if t.branch("tc_list_empty", (addr_uop,)):
+        num = t.take("central_remove")
+        _compile_remove(t, num, (addr_uop,))
+        dep: tuple = (addr_uop,)
+        for _ in range(num):
+            dep = (_compile_push(t, dep, mallacc),)
     _compile_pop(t, (addr_uop,), mallacc)
     meta = (addr_uop, size_uop)
     len_uop = t.nload(meta, Tag.METADATA)
@@ -318,7 +325,8 @@ def _compile_malloc(tokens: tuple) -> tuple:
 
 
 def _compile_free(tokens: tuple) -> tuple:
-    """``free:slow``: push, then ListTooLong release and/or scavenge."""
+    """``free:fast`` / ``free:slow``: push, then ListTooLong release and/or
+    scavenge."""
     t = _Template(tokens)
     b = t.b
     for _ in range(6):
@@ -356,7 +364,7 @@ def _compile_free(tokens: tuple) -> tuple:
 
 def compile_struct(site: str, tokens: tuple) -> tuple:
     """Compile the static structure for one ``(site, tokens)`` template."""
-    if site == "free:slow":
+    if site.startswith("free:"):
         return _compile_free(tokens)
     return _compile_malloc(tokens)
 
@@ -536,8 +544,11 @@ class TCMallocSlowPath:
             site, path = "malloc:page", _PATH_PAGE
         else:
             site, path = "malloc:central", _PATH_CENTRAL
+        if prof is not None:
+            prof.add_stage("refill", perf_counter() - t_emit)
+            prof.count("refill_entries", p.segs)
         record = _finish(
-            a, m, prof, t_emit, site, p,
+            a, m, prof, site, tuple(p.toks), tuple(p.lats), tuple(p.addrs),
             kind="malloc", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
         )
         return ptr, record
@@ -596,8 +607,11 @@ class TCMallocSlowPath:
         if tc.size_bytes >= config.max_thread_cache_size:
             self._scavenge(p, a)
         p.alus(5)
+        if prof is not None:
+            prof.add_stage("refill", perf_counter() - t_emit)
+            prof.count("refill_entries", p.segs)
         return _finish(
-            a, m, prof, t_emit, "free:slow", p,
+            a, m, prof, "free:slow", tuple(p.toks), tuple(p.lats), tuple(p.addrs),
             kind="free", size=size, cl=cl, path=_PATH_FREE_SLOW, ptr=ptr,
             clock0=clock0,
         )
@@ -1202,18 +1216,18 @@ class MallaccSlowPath(TCMallocSlowPath):
 
 
 # --------------------------------------------------------------------------
-# Shared tail.
+# Shared tail and helpers (fast-path and refill twins alike).
 
 
-def _finish(a, m, prof, t_emit, site, p, *, kind, size, cl, path, ptr, clock0):
-    """Twin of ``TCMalloc._finish``: intern, price, record, advance."""
-    tokens = tuple(p.toks)
-    lats = tuple(p.lats)
-    addrs = tuple(p.addrs)
+def _finish(a, m, prof, site, tokens, lats, addrs, *, kind, size, cl, path,
+            ptr, clock0):
+    """Twin of ``TCMalloc._finish``: intern, price, record, advance.
+
+    ``addrs`` holds one address per load, store and prefetch, in access
+    order; the structure is compiled from ``(site, tokens)`` only when the
+    interner misses."""
     if prof is not None:
         t0 = perf_counter()
-        prof.add_stage("refill", t0 - t_emit)
-        prof.count("refill_entries", p.segs)
     trace = m.interner.intern(
         site, tokens, lats,
         lambda: m.timing.materialize_columnar(
@@ -1255,6 +1269,33 @@ def _finish(a, m, prof, t_emit, site, p, *, kind, size, cl, path, ptr, clock0):
         a.records.append(record)
     a._post_schedule(trace, result)
     return record
+
+
+def _pagemap_words(page_heap, ptr: int) -> tuple[int, int]:
+    """Addresses of the two pagemap words a non-sized free walks."""
+    page = ptr >> K_PAGE_SHIFT
+    root = page_heap.pagemap_root_addr + ((page // _PAGEMAP_LEAF_PAGES) % 64) * 8
+    leaf = page_heap.pagemap_leaf_base + (page % (1 << 21)) * 8
+    return root, leaf
+
+
+def _sz_scan(cache, size: int):
+    """Pure replica of ``MallocCache.szlookup``'s scan (no stats/LRU)."""
+    key = class_index(size) if cache.config.index_keyed else size
+    for entry in cache.entries:
+        if entry.valid and entry.lo <= key <= entry.hi:
+            return entry
+    return None
+
+
+def _sz_commit(cache, entry) -> None:
+    """Apply the stats/LRU mutations ``szlookup`` would have made."""
+    if entry is not None:
+        cache.stats.sz_hits += 1
+        cache._tick += 1
+        entry.last_use = cache._tick
+    else:
+        cache.stats.sz_misses += 1
 
 
 # --------------------------------------------------------------------------

@@ -64,7 +64,7 @@ import tempfile
 import time
 import zlib
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -378,23 +378,31 @@ def write_checkpoints(
     return targets
 
 
+_RESULT_FIELDS = frozenset(f.name for f in fields(CellResult))
+
+
 def load_checkpoint(checkpoint_dir: str | os.PathLike, cell: SweepCell) -> CellResult | None:
-    """A cell's checkpointed result, or ``None`` if absent, unreadable, or
-    written for a *different* cell definition (stale directories from an
-    earlier matrix never masquerade as completed work)."""
+    """A cell's checkpointed result, or ``None`` (the cell is recomputed)
+    unless the file holds a JSON object of the current version, written for
+    this cell definition, whose ``result`` has exactly :class:`CellResult`'s
+    fields.  Absent, truncated or foreign files and stale directories from
+    an earlier matrix never masquerade as completed work or crash a
+    resume."""
     path = checkpoint_path(checkpoint_dir, cell)
     try:
         payload = json.loads(path.read_text())
     except (OSError, ValueError):
         return None
+    if not isinstance(payload, dict):
+        return None
     if payload.get("version") != CHECKPOINT_VERSION:
         return None
     if payload.get("cell") != asdict(cell):
         return None
-    try:
-        return CellResult(**payload["result"])
-    except (KeyError, TypeError):
+    result = payload.get("result")
+    if not isinstance(result, dict) or result.keys() != _RESULT_FIELDS:
         return None
+    return CellResult(**result)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ A :class:`~repro.sim.uop.Trace` is a list of ``Uop`` dataclasses; scheduling
 one means chasing Python attributes and enum identities per uop.  The
 columnar engine compiles each trace *once* into :class:`TraceColumns` — a
 set of parallel stdlib ``array`` columns (kind code, latency, CSR-encoded
-dependence indices, tag code, cache-line index) cached on the trace object —
+dependence indices, tag code) cached on the trace object —
 so :class:`~repro.sim.timing.TimingModel` can schedule by walking primitive
 arrays.  Interned templates are shared ``Trace`` instances, so one
 compilation serves every replay hit of that variant, and the columns pickle
@@ -76,11 +76,10 @@ class TraceColumns:
         "dep_indptr",
         "dep_indices",
         "tags",
-        "lines",
         "tag_mask",
     )
 
-    def __init__(self, n, kinds, flags, lats, dep_indptr, dep_indices, tags, lines, tag_mask):
+    def __init__(self, n, kinds, flags, lats, dep_indptr, dep_indices, tags, tag_mask):
         self.n = n
         self.kinds = kinds
         self.flags = flags
@@ -88,7 +87,6 @@ class TraceColumns:
         self.dep_indptr = dep_indptr
         self.dep_indices = dep_indices
         self.tags = tags
-        self.lines = lines
         #: OR of ``1 << tag_code`` over all uops — lets ablation skip the
         #: per-uop walk when no removed tag is present at all.
         self.tag_mask = tag_mask
@@ -106,7 +104,6 @@ class TraceColumns:
                 self.dep_indptr,
                 self.dep_indices,
                 self.tags,
-                self.lines,
                 self.tag_mask,
             ),
         )
@@ -121,7 +118,6 @@ def compile_trace(trace: Trace) -> TraceColumns:
     flags = array("b", bytes(n))
     lats = array("q", bytes(8 * n))
     tags = array("b", bytes(n))
-    lines = array("q", bytes(8 * n))
     dep_indptr = array("i", bytes(4 * (n + 1)))
     dep_indices = array("i")
     tag_mask = 0
@@ -141,13 +137,12 @@ def compile_trace(trace: Trace) -> TraceColumns:
         tcode = tag_code[uop.tag]
         tags[i] = tcode
         tag_mask |= 1 << tcode
-        lines[i] = -1 if uop.addr is None else uop.addr >> 6
         deps = uop.deps
         if deps:
             dep_indices.extend(deps)
             total += len(deps)
         dep_indptr[i + 1] = total
-    cols = TraceColumns(n, kinds, flags, lats, dep_indptr, dep_indices, tags, lines, tag_mask)
+    cols = TraceColumns(n, kinds, flags, lats, dep_indptr, dep_indices, tags, tag_mask)
     trace._columns = cols
     return cols
 
@@ -406,22 +401,6 @@ class StructBuilder:
         return tuple(self.rec)
 
 
-def materialize_struct(struct: tuple, addrs, lats) -> Trace:
-    """Rebuild the full Trace for an intern miss (or validate mode)."""
-    uops = [
-        Uop(kind, deps, None if slot is None else addrs[slot], lats[i], tag)
-        for i, (kind, deps, slot, tag) in enumerate(struct)
-    ]
-    trace = Trace(uops=uops)
-    trace._fingerprint = tuple(
-        [
-            (rec[0]._value_, lats[i], rec[1], rec[3]._value_)
-            for i, rec in enumerate(struct)
-        ]
-    )
-    return trace
-
-
 class StructTrace(Trace):
     """A twin-materialized trace: columns and fingerprint are precomputed
     straight from the structure, and the ``Uop`` objects are rebuilt only if
@@ -454,14 +433,12 @@ class StructTrace(Trace):
 def compile_struct_columns(struct: tuple) -> tuple:
     """The static half of :class:`TraceColumns` for one structure.
 
-    Everything except the per-call latencies and cache-line indices is a
-    pure function of the structure, so it is compiled once and shared (the
-    arrays are never mutated) by every materialization of that shape:
-    ``(n, kinds, flags, tags, tag_mask, dep_indptr, dep_indices,
-    slot_pairs, fp_parts, lines0)``.  ``slot_pairs`` lists the
-    ``(uop_index, addr_slot)`` pairs to patch into a copy of the all--1
-    ``lines0`` template; ``fp_parts`` holds the ``(kind, deps, tag)``
-    fingerprint records the per-call latencies splice into."""
+    Everything except the per-call latencies is a pure function of the
+    structure, so it is compiled once and shared (the arrays are never
+    mutated) by every materialization of that shape: ``(n, kinds, flags,
+    tags, tag_mask, dep_indptr, dep_indices, fp_parts)``.  ``fp_parts``
+    holds the ``(kind, deps, tag)`` fingerprint records the per-call
+    latencies splice into."""
     kind_code = KIND_CODE
     tag_code = TAG_CODE
     n = len(struct)
@@ -470,12 +447,10 @@ def compile_struct_columns(struct: tuple) -> tuple:
     tags = array("b", bytes(n))
     dep_indptr = array("i", bytes(4 * (n + 1)))
     dep_indices = array("i")
-    lines0 = array("q", [-1]) * n
     tag_mask = 0
     total = 0
-    slot_pairs = []
     fp_parts = []
-    for i, (kind, deps, slot, tag) in enumerate(struct):
+    for i, (kind, deps, _slot, tag) in enumerate(struct):
         code = kind_code[kind]
         kinds[i] = code
         flag = 0
@@ -489,8 +464,6 @@ def compile_struct_columns(struct: tuple) -> tuple:
         tcode = tag_code[tag]
         tags[i] = tcode
         tag_mask |= 1 << tcode
-        if slot is not None:
-            slot_pairs.append((i, slot))
         if deps:
             dep_indices.extend(deps)
             total += len(deps)
@@ -504,16 +477,13 @@ def compile_struct_columns(struct: tuple) -> tuple:
         tag_mask,
         dep_indptr,
         dep_indices,
-        tuple(slot_pairs),
         tuple(fp_parts),
-        lines0,
     )
 
 
 #: Process-wide static column templates, keyed by structure id.  Structures
-#: are immortal (fast-path module constants and the process-wide
-#: :class:`StructStore` never evict), and each entry pins its structure
-#: tuple anyway, so ids stay valid.
+#: are immortal (the process-wide :class:`StructStore` never evicts), and
+#: each entry pins its structure tuple anyway, so ids stay valid.
 _STRUCT_STATIC: dict[int, tuple] = {}
 
 
@@ -532,13 +502,10 @@ def materialize_struct_columns(static: tuple, struct, addrs, lats) -> Trace:
     The trace carries ``_columns`` from birth, so the first ``run`` walks
     primitive arrays instead of object-walking fresh ``Uop`` instances —
     the reference path every miss used to pay."""
-    (n, kinds, flags, tags, tag_mask, indptr, indices, slot_pairs, fp_parts, lines0) = static
-    lines = array("q", lines0)
-    for i, slot in slot_pairs:
-        lines[i] = addrs[slot] >> 6
+    (n, kinds, flags, tags, tag_mask, indptr, indices, fp_parts) = static
     trace = StructTrace(struct, addrs, lats)
     trace._columns = TraceColumns(
-        n, kinds, flags, array("q", lats), indptr, indices, tags, lines, tag_mask
+        n, kinds, flags, array("q", lats), indptr, indices, tags, tag_mask
     )
     trace._fingerprint = tuple(
         [(part[0], lat, part[1], part[2]) for part, lat in zip(fp_parts, lats)]
@@ -547,18 +514,17 @@ def materialize_struct_columns(static: tuple, struct, addrs, lats) -> Trace:
 
 
 class StructStore:
-    """Compiled structures for *parameterized* (variable-length) shapes.
+    """Compiled fused-twin structures, keyed by ``(site, tokens)``.
 
-    Fast-path shapes are enumerable, so :mod:`repro.alloc.fastpath` builds
-    its structures eagerly.  Refill shapes are parameterized by size class
-    and data-dependent counts (batch moves, span carving, free-list probes);
-    every such parameter is a structural token, so the template is keyed by
-    the instance-independent ``(site, tokens)`` pair — the counts and the
-    size class are *inside* the tokens — and compiled from the token stream
-    on first sight by a site-specific compiler.  Structures are pure
-    functions of the key, so one process-wide store serves every machine,
-    and the compiled columns of the materialized traces ship across
-    processes in the warm bank exactly like fast-path templates do.
+    Every structural decision of a twin shape is a token — including the
+    size class and data-dependent counts of the refill shapes (batch moves,
+    span carving, free-list probes) — so the instance-independent
+    ``(site, tokens)`` pair pins the structure, which a compiler builds from
+    the token stream on first sight.  Structures are pure functions of the
+    key, so one process-wide store serves every machine and every allocator
+    type (a structural difference between allocators must therefore be a
+    token, like jemalloc's ``size2index``), and the compiled columns of the
+    materialized traces ship across processes in the warm bank.
     """
 
     __slots__ = ("_structs", "compiled")

@@ -208,9 +208,9 @@ class TimingModel:
 
         Static column templates are pure functions of the structure, so the
         compiled arrays are shared process-wide (``struct_columns_cached``);
-        every miss of a known shape then only fills the per-call latency and
-        cache-line columns — neither ``Uop`` objects nor an object-walk
-        first schedule are ever constructed for twin-served calls.  Compile
+        every miss of a known shape then only fills the per-call latency
+        column — neither ``Uop`` objects nor an object-walk first schedule
+        are ever constructed for twin-served calls.  Compile
         telemetry (counters and the ``columnar_compile`` profiler stage) is
         credited on each model's *first use* of a shape, so it stays
         deterministic per machine instead of depending on process history."""

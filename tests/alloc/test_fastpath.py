@@ -21,7 +21,9 @@ from repro.alloc.multithread import MultiThreadAllocator
 from repro.alloc.zoo import get_allocator
 from repro.core.accel_allocator import MallaccTCMalloc
 from repro.harness.runner import run_workload
-from repro.workloads import MICROBENCHMARKS
+from repro.sim.timing import TimingModel
+from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS
+from tests.integration.test_hot_path_differential import REFILL_TORTURE
 
 
 @contextmanager
@@ -261,3 +263,54 @@ class TestDebugForensics:
             with pytest.raises(HeapCorruptionError):
                 alloc.free(ptr)
             assert alloc.corruptions_detected == 1
+
+
+class TestStructures:
+    """Every twin structure comes from one token compiler
+    (``slowpath.compile_struct``), keyed by ``(site, tokens)`` in a
+    process-wide store.  Call for call, the trace a twin hands the timing
+    model must fingerprint exactly like the object path's — uop kinds,
+    latencies, dependence edges, tags — and carry the same addresses.  The
+    grid compares cycles, which one drifted dependence edge can leave
+    unchanged; this compares the structures themselves.  The allocators run
+    in one process, TCMalloc then Mallacc then jemalloc, so a key two
+    allocators shared in the store would hand the later one the wrong
+    structure."""
+
+    ALLOCATORS = [TCMalloc, MallaccTCMalloc, get_allocator("jemalloc").baseline]
+    STREAMS = [
+        (MICROBENCHMARKS["tp_small"], 300),
+        (MICROBENCHMARKS["sized_deletes"], 300),
+        (MICROBENCHMARKS["gauss_free"], 300),
+        (MACRO_WORKLOADS["483.xalancbmk"], 200),
+        (REFILL_TORTURE, 1400),
+    ]
+
+    def test_twin_traces_match_object_path(self, monkeypatch):
+        seen = []
+        run = TimingModel.run
+
+        def spy(model, trace):
+            seen.append((trace.fingerprint(), tuple(u.addr for u in trace.uops)))
+            return run(model, trace)
+
+        monkeypatch.setattr(TimingModel, "run", spy)
+
+        def replay(factory, workload, num_ops, twins):
+            seen.clear()
+            with _engine(None):
+                alloc = factory()
+            if not twins:
+                alloc._fastpath = alloc._slowpath = None
+            run_workload(alloc, workload.ops(seed=7, num_ops=num_ops), name=workload.name)
+            return list(seen), alloc.machine
+
+        for factory in self.ALLOCATORS:
+            for workload, num_ops in self.STREAMS:
+                tag = f"{factory.__name__} on {workload.name}"
+                twin_calls, machine = replay(factory, workload, num_ops, twins=True)
+                object_calls, _ = replay(factory, workload, num_ops, twins=False)
+                assert machine.object_path_fast_calls == 0, tag
+                assert len(twin_calls) == len(object_calls) > 0, tag
+                for i, (twin, obj) in enumerate(zip(twin_calls, object_calls)):
+                    assert twin == obj, f"{tag}: call {i}"

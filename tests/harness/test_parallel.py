@@ -122,6 +122,48 @@ class TestCheckpoints:
             f"{CELLS[0].cell_id}.json"
         ]
 
+    #: Ways a checkpoint file can be damaged, as rewrites of a good payload.
+    DAMAGE = {
+        "truncated": lambda good: json.dumps(good)[:40],
+        "null": lambda good: "null",
+        "list": lambda good: "[1, 2]",
+        "string": lambda good: '"x"',
+        "wrong_version": lambda good: json.dumps({**good, "version": -1}),
+        "other_cell": lambda good: json.dumps(
+            {**good, "cell": {**good["cell"], "num_ops": 999}}
+        ),
+        "result_missing_field": lambda good: json.dumps(
+            {**good, "result": {k: v for k, v in good["result"].items()
+                                if k != "metrics"}}
+        ),
+        "result_extra_field": lambda good: json.dumps(
+            {**good, "result": {**good["result"], "bogus": 1}}
+        ),
+    }
+
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damaged_checkpoint_is_recomputed(self, tmp_path, damage):
+        """A damaged checkpoint counts as absent: loading returns None and a
+        resumed matrix recomputes exactly that cell instead of crashing."""
+        run_matrix(CELLS, jobs=1, checkpoint_dir=tmp_path, cell_fn=fake_result)
+        path = checkpoint_path(tmp_path, CELLS[1])
+        path.write_text(self.DAMAGE[damage](json.loads(path.read_text())))
+        assert load_checkpoint(tmp_path, CELLS[1]) is None
+
+        calls = []
+
+        def counting(cell):
+            calls.append(cell.cell_id)
+            return fake_result(cell)
+
+        resumed = run_matrix(
+            CELLS, jobs=1, checkpoint_dir=tmp_path, resume=True, cell_fn=counting
+        )
+        assert calls == [CELLS[1].cell_id]
+        assert resumed.stats.cells_resumed == 2
+        # ... and the recomputed cell is checkpointed afresh.
+        assert load_checkpoint(tmp_path, CELLS[1]) is not None
+
 
 class TestBatchPlanning:
     def test_auto_size_one_wave_per_worker(self):

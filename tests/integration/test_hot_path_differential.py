@@ -31,6 +31,7 @@ import pytest
 
 import repro
 from repro.alloc.multithread import MultiThreadAllocator
+from repro.alloc.zoo import get_allocator
 from repro.harness.experiments import make_baseline, make_mallacc
 from repro.harness.runner import run_multithreaded, run_workload
 from repro.harness.sweeps import sweep_cache_sizes
@@ -69,6 +70,12 @@ def _engine_env(engine, impl):
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
+
+
+def make_jemalloc(**kwargs):
+    """The jemalloc zoo member: its fast twin (the size2index lookup) is the
+    only one, so refills ride the object path inside the same replay."""
+    return get_allocator("jemalloc").baseline(**kwargs)
 
 
 def _observable(result):
@@ -140,8 +147,11 @@ class TestSingleThreaded:
     def test_micro(self, name):
         _assert_grid(MICROBENCHMARKS[name], make_baseline, 400)
 
+    def test_micro_jemalloc(self):
+        _assert_grid(MICROBENCHMARKS["tp_small"], make_jemalloc, 400)
+
     @pytest.mark.parametrize("name", ["400.perlbench", "masstree.same"])
-    @pytest.mark.parametrize("allocator", [make_baseline, make_mallacc])
+    @pytest.mark.parametrize("allocator", [make_baseline, make_mallacc, make_jemalloc])
     def test_macro(self, name, allocator):
         _assert_grid(MACRO_WORKLOADS[name], allocator, 250)
 
