@@ -25,7 +25,6 @@ from repro.alloc.size_classes import SizeClassTable
 from repro.alloc.thread_cache import ThreadCache
 from repro.sim.engine import is_columnar
 from repro.sim.memory import NULL
-from repro.sim.trace_intern import TraceInterner
 from repro.sim.uop import Tag, Trace
 
 
@@ -117,17 +116,7 @@ class TCMalloc:
         self.machine = machine or Machine()
         self.config = config or AllocatorConfig()
         self.ablations = dict(ablations or {})
-        if memoize_traces is not None:
-            # Explicit override of the machine's trace-scheduling memoization
-            # (None leaves the CoreConfig default in place).
-            self.machine.timing.set_memoization(memoize_traces)
-        if intern_traces is not None:
-            # Explicit override of the machine's emission-side interning
-            # (None leaves the REPRO_TRACE_INTERN default in place).
-            if intern_traces and self.machine.interner is None:
-                self.machine.interner = TraceInterner()
-            elif not intern_traces:
-                self.machine.interner = None
+        self.machine.apply_memo_overrides(memoize_traces, intern_traces)
         if shared is not None:
             # Multithreaded mode: this instance is one thread's view over
             # pools owned by a MultiThreadAllocator.

@@ -88,6 +88,20 @@ class Machine:
             return WarmingEmitter(self)
         return FunctionalEmitter(self)
 
+    def apply_memo_overrides(
+        self, memoize_traces: bool | None, intern_traces: bool | None
+    ) -> None:
+        """Apply an allocator constructor's explicit memo switches; ``None``
+        leaves this machine's default in place (the ``CoreConfig`` for
+        trace memoization, ``REPRO_TRACE_INTERN`` for interning)."""
+        if memoize_traces is not None:
+            self.timing.set_memoization(memoize_traces)
+        if intern_traces is not None:
+            if not intern_traces:
+                self.interner = None
+            elif self.interner is None:
+                self.interner = TraceInterner()
+
     def record_twins(self, alloc, fastpath=None, slowpath=None) -> None:
         """Note which fused twins ``alloc`` got, by its exact type name."""
         got = [name for name, twin in (("fast", fastpath), ("slow", slowpath))

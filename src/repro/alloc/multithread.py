@@ -93,18 +93,9 @@ class MultiThreadAllocator:
             self.machine = machine or Machine()
             self.core_machines = [self.machine] * num_threads
             self.substrate = None
-        if memoize_traces is not None:
-            # Coherent mode runs one TimingModel per core; apply to each.
-            for core in {id(m): m for m in self.core_machines}.values():
-                core.timing.set_memoization(memoize_traces)
-        if intern_traces is not None:
-            from repro.sim.trace_intern import TraceInterner
-
-            for core in {id(m): m for m in self.core_machines}.values():
-                if intern_traces and core.interner is None:
-                    core.interner = TraceInterner()
-                elif not intern_traces:
-                    core.interner = None
+        # Coherent mode runs one machine per core; apply to each.
+        for core in {id(m): m for m in self.core_machines}.values():
+            core.apply_memo_overrides(memoize_traces, intern_traces)
         self.config = config or AllocatorConfig()
         self.accelerated = accelerated
         self.context_switch_flushes = context_switch_flushes

@@ -19,13 +19,14 @@ token and latency tuples directly, and interns the result via
 Refill shapes are variable-length (batch moves, carve counts, probe chains),
 so every data-dependent decision is a structural token (``("carve", n)``,
 ``("pm_probes", n)``, ``("release_at", i)``, ...), and the static structure
-is *compiled from the token stream* on first sight (:func:`compile_struct`),
-keyed by ``(site, tokens)`` in a process-wide
-:class:`~repro.sim.columns.StructStore`.  The size class and every count are
-inside the tokens, so one compiled structure serves every call of that
-shape; ``materialize`` runs only on an intern miss.  The fast-path twins get
-their structures from the same compiler and share the intern/price/record
-tail (:func:`_finish`), so every twin shape is written down once.
+is *compiled from the token stream* on first sight (:func:`compile_struct`)
+into one entry, with its static columns, keyed by ``(site, tokens)`` in a
+process-wide :class:`~repro.sim.columns.StructStore`.  The size class and
+every count are inside the tokens, so one compiled structure serves every
+call of that shape; ``materialize`` runs only on an intern miss.  The
+fast-path twins get their structures from the same compiler and share the
+intern/price/record tail (:func:`_finish`), so every twin shape is written
+down once.
 
 Cycle counts, runner statistics, cache/TLB/predictor state, lock/contention
 counters and every intern/trace-cache counter are bit-identical to the
@@ -62,9 +63,6 @@ from repro.alloc.span import Span, SpanState
 from repro.sim.columns import StructBuilder, StructStore
 from repro.sim.memory import NULL
 from repro.sim.uop import Tag
-
-#: Process-wide compiled structures, keyed by (site, tokens).
-_STRUCTS = StructStore()
 
 
 # --------------------------------------------------------------------------
@@ -367,6 +365,10 @@ def compile_struct(site: str, tokens: tuple) -> tuple:
     if site.startswith("free:"):
         return _compile_free(tokens)
     return _compile_malloc(tokens)
+
+
+#: Process-wide compiled shapes, keyed by (site, tokens).
+_STRUCTS = StructStore(compile_struct)
 
 
 # --------------------------------------------------------------------------
@@ -1230,9 +1232,7 @@ def _finish(a, m, prof, site, tokens, lats, addrs, *, kind, size, cl, path,
         t0 = perf_counter()
     trace = m.interner.intern(
         site, tokens, lats,
-        lambda: m.timing.materialize_columnar(
-            _STRUCTS.get_or_compile(site, tokens, compile_struct), addrs, lats
-        ),
+        lambda: m.timing.materialize_columnar(_STRUCTS, site, tokens, addrs, lats),
     )
     if prof is not None:
         t1 = perf_counter()

@@ -37,19 +37,6 @@ from repro.alloc.context import Machine
 from repro.alloc.hoard import HoardAllocator
 from repro.alloc.jemalloc import Jemalloc, make_mallacc_jemalloc
 from repro.sim.memory import NULL
-from repro.sim.trace_intern import TraceInterner
-
-
-def _apply_engine_overrides(machine, memoize_traces, intern_traces) -> None:
-    """Mirror TCMalloc.__init__'s explicit engine overrides for the adapted
-    allocators (None leaves the machine defaults in place)."""
-    if memoize_traces is not None:
-        machine.timing.set_memoization(memoize_traces)
-    if intern_traces is not None:
-        if intern_traces and machine.interner is None:
-            machine.interner = TraceInterner()
-        elif not intern_traces:
-            machine.interner = None
 
 
 class TimedHoard:
@@ -79,7 +66,7 @@ class TimedHoard:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        _apply_engine_overrides(self.machine, memoize_traces, intern_traces)
+        self.machine.apply_memo_overrides(memoize_traces, intern_traces)
         self.machine.record_twins(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
@@ -211,7 +198,7 @@ class TimedBuddy:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        _apply_engine_overrides(self.machine, memoize_traces, intern_traces)
+        self.machine.apply_memo_overrides(memoize_traces, intern_traces)
         self.machine.record_twins(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True

@@ -36,11 +36,11 @@ cells *cheaper*, which makes per-task overhead *relatively* costlier):
   (:func:`auto_batch_size`); ``1`` restores per-cell tasks;
 * **fork-server workers** — the pool ``initializer`` installs a
   :class:`~repro.sim.warm.WarmBank` pre-built by the parent (tiny warm
-  replays per workload family) holding interned trace templates, memoized
-  scheduling results, and read-only op streams.  Banks are
-  telemetry-neutral by construction: they satisfy cache *misses* after the
-  miss is counted, so per-cell summaries and pooled metrics are
-  byte-identical to cold serial runs;
+  replays per workload family) holding interned trace templates,
+  read-only op streams, and scheduling results it loads into the shared
+  schedule memo.  Banks are telemetry-neutral by construction: they
+  satisfy cache *misses* after the miss is counted, so per-cell summaries
+  and pooled metrics are byte-identical to cold serial runs;
 * **one pool per run** — the ``ProcessPoolExecutor`` is created once and
   reused across retry rounds; it is rebuilt only after a
   ``BrokenProcessPool`` (a worker killed outright), and checkpoint writes
@@ -462,7 +462,9 @@ that prewarm stays a rounding error next to one real cell."""
 
 def _worker_init(bank: warm_state.WarmBank | None) -> None:
     """Pool initializer: installs the parent-built warm bank in the worker
-    (the fork-server handshake).  Runs once per worker process."""
+    (the fork-server handshake), which loads its schedules into the shared
+    schedule memo — so a ``spawn`` worker starts warm too.  Runs once per
+    worker process."""
     warm_state.install_bank(bank)
 
 
@@ -475,8 +477,8 @@ def build_warm_bank(
     Per distinct ``(workload, seed, cache_entries, app-traffic)`` family the
     parent replays a ``warm_ops``-op prefix under both baseline and Mallacc
     allocators and harvests the machines' interned templates and memoized
-    scheduling results.  Harvested values are keyed by content (canonical
-    fingerprints, ``(site, tokens, latencies)`` triples), so a truncated
+    scheduling results.  Harvested values are keyed by content (shared-memo
+    keys, ``(site, tokens, latencies)`` triples), so a truncated
     warm replay only bounds *coverage*, never correctness.  Op streams small
     enough to hold (:data:`~repro.sim.warm.STREAM_PREWARM_MAX_OPS`) are
     pre-generated here so every worker inherits them read-only; larger
@@ -569,7 +571,8 @@ class MatrixStats:
     """Executors built over the run: 1 on a clean sharded run, +1 per
     broken-pool rebuild, 0 when everything ran inline or was resumed."""
     warm: dict[str, int] = field(default_factory=dict)
-    """Warm-bank sizes (parent-side) and pooled worker hit counters — pure
+    """Warm-bank sizes (parent-side) and pooled worker hit counters
+    (``schedule_hits`` counts the workers' shared schedule-memo hits) — pure
     measurement machinery, never merged into cell metrics."""
     per_cell_wall: dict[str, float] = field(default_factory=dict)
     trace_cache: dict[str, float] = field(default_factory=dict)

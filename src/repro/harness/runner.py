@@ -200,54 +200,38 @@ class RunResult:
         return fast / total
 
 
-def _cache_snapshots(machines) -> list[tuple[int, int]]:
-    """(hits, misses) per distinct timing model, for delta accounting."""
-    snaps = []
-    for machine in _distinct_machines(machines):
-        stats = machine.timing.cache_stats
-        snaps.append(stats.snapshot() if stats is not None else (0, 0))
-    return snaps
-
-
-def _cache_delta(machines, before: list[tuple[int, int]]) -> tuple[int, int]:
-    hits = misses = 0
-    for machine, (h0, m0) in zip(_distinct_machines(machines), before):
-        stats = machine.timing.cache_stats
-        if stats is None:
-            continue
-        h1, m1 = stats.snapshot()
-        hits += h1 - h0
-        misses += m1 - m0
-    return hits, misses
-
-
 def _distinct_machines(machines) -> list:
     """Machines deduplicated by identity (threads may share one core)."""
     return list({id(m): m for m in machines}.values())
 
 
-def _intern_snapshots(machines) -> list[tuple[int, int]]:
-    """(hits, misses) per distinct interner, for delta accounting."""
-    snaps = []
-    seen: set[int] = set()
-    for machine in _distinct_machines(machines):
-        interner = machine.interner
-        if interner is None or id(interner) in seen:
-            snaps.append(None)
-            continue
-        seen.add(id(interner))
-        snaps.append(interner.stats.snapshot())
-    return snaps
+def _cache_stats(machine):
+    return machine.timing.cache_stats
 
 
-def _intern_delta(machines, before) -> tuple[int, int]:
+def _intern_stats(machine):
+    return machine.interner.stats if machine.interner is not None else None
+
+
+def _stats_snapshot(machines, stats_of) -> list[tuple]:
+    """``(stats, hits, misses)`` for each distinct stats object ``stats_of``
+    reads off ``machines`` (``None`` — memoization or interning off — is
+    skipped), for delta accounting."""
+    distinct = {}
+    for machine in machines:
+        stats = stats_of(machine)
+        if stats is not None:
+            distinct[id(stats)] = stats
+    return [(stats, *stats.snapshot()) for stats in distinct.values()]
+
+
+def _stats_delta(before: list[tuple]) -> tuple[int, int]:
+    """(hits, misses) accumulated since :func:`_stats_snapshot`."""
     hits = misses = 0
-    for machine, snap in zip(_distinct_machines(machines), before):
-        if snap is None or machine.interner is None:
-            continue
-        h1, m1 = machine.interner.stats.snapshot()
-        hits += h1 - snap[0]
-        misses += m1 - snap[1]
+    for stats, h0, m0 in before:
+        h1, m1 = stats.snapshot()
+        hits += h1 - h0
+        misses += m1 - m0
     return hits, misses
 
 
@@ -310,8 +294,8 @@ def run_workload(
     tracer = get_tracer()
     trace_t0 = tracer.now_us() if tracer.enabled else 0
     wall_t0 = perf_counter()
-    cache_before = _cache_snapshots([machine])
-    intern_before = _intern_snapshots([machine])
+    cache_before = _stats_snapshot([machine], _cache_stats)
+    intern_before = _stats_snapshot([machine], _intern_stats)
     prof_state = _profiler_begin(profiler, [machine])
 
     for op in ops:
@@ -335,10 +319,8 @@ def run_workload(
             result.records.append(record)
 
     _profiler_end(profiler, prof_state)
-    result.trace_cache_hits, result.trace_cache_misses = _cache_delta(
-        [machine], cache_before
-    )
-    result.intern_hits, result.intern_misses = _intern_delta([machine], intern_before)
+    result.trace_cache_hits, result.trace_cache_misses = _stats_delta(cache_before)
+    result.intern_hits, result.intern_misses = _stats_delta(intern_before)
     result.manifest = manifest.finished(perf_counter() - wall_t0, (machine,))
     if tracer.enabled:
         tracer.complete(
@@ -660,8 +642,8 @@ def _sampled_pass(
     app_offset = 0
     measured = 0
     detailed_calls = warming_calls = 0
-    cache_before = _cache_snapshots([machine])
-    intern_before = _intern_snapshots([machine])
+    cache_before = _stats_snapshot([machine], _cache_stats)
+    intern_before = _stats_snapshot([machine], _intern_stats)
     prof_state = _profiler_begin(profiler, [machine])
     # Mode spans are long and contiguous; timing only their boundaries keeps
     # the per-op overhead at one comparison.
@@ -840,10 +822,8 @@ def _sampled_pass(
         profiler.add_stage("warming", result.warming_seconds)
         profiler.count("warming_calls", warming_calls)
         profiler.count("detailed_calls", detailed_calls)
-    result.trace_cache_hits, result.trace_cache_misses = _cache_delta(
-        [machine], cache_before
-    )
-    result.intern_hits, result.intern_misses = _intern_delta([machine], intern_before)
+    result.trace_cache_hits, result.trace_cache_misses = _stats_delta(cache_before)
+    result.intern_hits, result.intern_misses = _stats_delta(intern_before)
     return result
 
 
@@ -918,8 +898,8 @@ def run_multithreaded(
     tracer = get_tracer()
     trace_t0 = tracer.now_us() if tracer.enabled else 0
     wall_t0 = perf_counter()
-    cache_before = _cache_snapshots(machines)
-    intern_before = _intern_snapshots(machines)
+    cache_before = _stats_snapshot(machines, _cache_stats)
+    intern_before = _stats_snapshot(machines, _intern_stats)
     prof_state = _profiler_begin(profiler, machines)
     app = AppTraffic()
     for op in ops:
@@ -950,10 +930,8 @@ def run_multithreaded(
                 result.per_thread_cycles.get(op.tid, 0) + record.cycles
             )
     _profiler_end(profiler, prof_state)
-    result.trace_cache_hits, result.trace_cache_misses = _cache_delta(
-        machines, cache_before
-    )
-    result.intern_hits, result.intern_misses = _intern_delta(machines, intern_before)
+    result.trace_cache_hits, result.trace_cache_misses = _stats_delta(cache_before)
+    result.intern_hits, result.intern_misses = _stats_delta(intern_before)
     result.contention_cycles = mt_allocator.contention_cycles()
     stats = mt_allocator.coherence_stats()
     if stats is not None:

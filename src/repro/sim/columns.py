@@ -2,13 +2,17 @@
 
 A :class:`~repro.sim.uop.Trace` is a list of ``Uop`` dataclasses; scheduling
 one means chasing Python attributes and enum identities per uop.  The
-columnar engine compiles each trace *once* into :class:`TraceColumns` — a
-set of parallel stdlib ``array`` columns (kind code, latency, CSR-encoded
-dependence indices, tag code) cached on the trace object —
-so :class:`~repro.sim.timing.TimingModel` can schedule by walking primitive
-arrays.  Interned templates are shared ``Trace`` instances, so one
-compilation serves every replay hit of that variant, and the columns pickle
-with the trace into :class:`repro.sim.warm.WarmBank`.
+columnar engine schedules :class:`TraceColumns` instead — a set of parallel
+stdlib ``array`` columns (kind code, latency, CSR-encoded dependence
+indices, tag code) cached on the trace object — so
+:class:`~repro.sim.timing.TimingModel` walks primitive arrays.  Traces the
+fused twins materialize carry columns from birth: a :class:`StructStore`
+entry holds each shape's structure and its static columns, and each call
+only adds its latency column.  Any other trace is compiled on demand by
+:func:`compile_trace`, which the ablated schedule needs; a full schedule
+walks its uop objects instead, because behind the shared schedule memo a
+trace reaches the scheduler once per process.  Columns pickle with their
+trace into :class:`repro.sim.warm.WarmBank`.
 
 The dependence columns use CSR encoding: ``dep_indices[dep_indptr[i] :
 dep_indptr[i + 1]]`` are the source uop indices of uop ``i``.  Ablation
@@ -481,21 +485,6 @@ def compile_struct_columns(struct: tuple) -> tuple:
     )
 
 
-#: Process-wide static column templates, keyed by structure id.  Structures
-#: are immortal (the process-wide :class:`StructStore` never evicts), and
-#: each entry pins its structure tuple anyway, so ids stay valid.
-_STRUCT_STATIC: dict[int, tuple] = {}
-
-
-def struct_columns_cached(struct: tuple) -> tuple:
-    """The shared static column template for ``struct`` (compiling once per
-    process — the arrays are read-only, so every machine can use them)."""
-    entry = _STRUCT_STATIC.get(id(struct))
-    if entry is None:
-        entry = _STRUCT_STATIC[id(struct)] = (struct, compile_struct_columns(struct))
-    return entry[1]
-
-
 def materialize_struct_columns(static: tuple, struct, addrs, lats) -> Trace:
     """Materialize an intern miss directly to scheduled-ready columns.
 
@@ -514,30 +503,33 @@ def materialize_struct_columns(static: tuple, struct, addrs, lats) -> Trace:
 
 
 class StructStore:
-    """Compiled fused-twin structures, keyed by ``(site, tokens)``.
+    """Compiled fused-twin shapes: one entry per ``(site, tokens)``, holding
+    the structure and its static columns (:func:`compile_struct_columns`).
 
     Every structural decision of a twin shape is a token — including the
     size class and data-dependent counts of the refill shapes (batch moves,
     span carving, free-list probes) — so the instance-independent
-    ``(site, tokens)`` pair pins the structure, which a compiler builds from
-    the token stream on first sight.  Structures are pure functions of the
-    key, so one process-wide store serves every machine and every allocator
-    type (a structural difference between allocators must therefore be a
-    token, like jemalloc's ``size2index``), and the compiled columns of the
-    materialized traces ship across processes in the warm bank.
+    ``(site, tokens)`` pair pins the structure, which ``compiler`` builds
+    from the token stream on first sight.  Entries are pure functions of the
+    key and their arrays are never mutated, so one process-wide store serves
+    every machine and every allocator type (a structural difference between
+    allocators must therefore be a token, like jemalloc's ``size2index``),
+    and the compiled columns of the materialized traces ship across
+    processes in the warm bank.
     """
 
-    __slots__ = ("_structs", "compiled")
+    __slots__ = ("_compiler", "_entries")
 
-    def __init__(self) -> None:
-        self._structs: dict[tuple, tuple] = {}
-        self.compiled = 0
+    def __init__(self, compiler) -> None:
+        self._compiler = compiler
+        self._entries: dict[tuple, tuple] = {}
 
-    def get_or_compile(self, site: str, tokens: tuple, compiler) -> tuple:
+    def entry(self, site: str, tokens: tuple) -> tuple[tuple, tuple]:
+        """``(structure, static columns)`` for one shape, compiled on first
+        sight."""
         key = (site, tokens)
-        struct = self._structs.get(key)
-        if struct is None:
-            struct = compiler(site, tokens)
-            self._structs[key] = struct
-            self.compiled += 1
-        return struct
+        entry = self._entries.get(key)
+        if entry is None:
+            struct = self._compiler(site, tokens)
+            entry = self._entries[key] = (struct, compile_struct_columns(struct))
+        return entry

@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.sim import trace_cache
 from repro.sim import warm as _warm
 from repro.sim.columns import (
     compile_trace,
     materialize_struct_columns,
-    struct_columns_cached,
     removed_tag_mask,
     schedule_columns,
     schedule_columns_ablated,
@@ -34,17 +34,6 @@ from repro.sim.columns import (
 from repro.sim.engine import is_columnar
 from repro.sim.trace_cache import DEFAULT_TRACE_CACHE_ENTRIES, TraceCache, TraceCacheStats
 from repro.sim.uop import Tag, Trace, UopKind
-
-
-#: Process-wide memo of columnar schedule results.  A schedule is a pure
-#: function of (trace fingerprint, ablation mask, core config) — frozen
-#: hashable keys — so results are bit-equal wherever they are recomputed;
-#: sharing them across machine instances skips the array walk without
-#: touching any per-machine telemetry.  Cleared wholesale at the cap (a
-#: safety valve for very long processes; fingerprint cardinality is small
-#: in practice).
-_COLUMNAR_SCHEDULES: dict[tuple, "TimingResult"] = {}
-_SCHEDULE_MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,7 +52,8 @@ class CoreConfig:
     """Front-end cycles charged once per call (call/return, fetch redirect)."""
     trace_cache_entries: int = DEFAULT_TRACE_CACHE_ENTRIES
     """LRU capacity of the trace-scheduling memoization cache; 0 disables
-    memoization (every trace is scheduled from scratch)."""
+    memoization, the shared schedule memo included (every trace is
+    scheduled from scratch)."""
 
 
 @dataclass
@@ -90,7 +80,9 @@ class TimingResult:
 
 class TimingModel:
     """Schedules traces; the only state beyond configuration is the
-    memoization cache, which by construction never changes an answer."""
+    memoization cache (over the shared
+    :data:`~repro.sim.trace_cache.SCHEDULE_MEMO`), which by construction
+    never changes an answer."""
 
     def __init__(self, config: CoreConfig | None = None, columnar: bool | None = None) -> None:
         self.config = config or CoreConfig()
@@ -115,12 +107,9 @@ class TimingModel:
         #: stage, nested inside the allocator's ``schedule`` span.
         self.profiler = None
         self._ablate_masks: dict[frozenset, int] = {}
-        #: Fused-twin structures this model has used, keyed by structure id
-        #: (each entry pins the structure tuple, so the id stays valid).
-        #: The static arrays themselves are shared process-wide; this map
-        #: exists so compile telemetry is deterministic per machine rather
-        #: than depending on process history.
-        self._struct_columns: dict[int, tuple] = {}
+        #: ``(site, tokens)`` of the fused-twin shapes this model has been
+        #: credited a compile for (see :meth:`materialize_columnar`).
+        self._shapes: set[tuple] = set()
 
     # ------------------------------------------------------------ memoization
     def set_memoization(self, enabled: bool) -> None:
@@ -153,13 +142,7 @@ class TimingModel:
         key = trace.fingerprint_key()
         result = cache.get(key)
         if result is None:
-            # The miss is recorded; a fork-server warm bank (repro.sim.warm)
-            # may still supply the shared result — _schedule is a pure
-            # function of the fingerprint, so banked and fresh results are
-            # bit-equal and telemetry is untouched.
-            result = _warm.lookup_schedule(key)
-            if result is None:
-                result = self._run_schedule(trace)
+            result = self._shared(key, self._run_schedule, trace)
             cache.put(key, result)
         return result
 
@@ -173,20 +156,37 @@ class TimingModel:
         tags = frozenset(tags)
         cache = self.cache
         if cache is None:
-            if self.columnar:
-                return self._schedule_ablated_columnar(trace, tags)
-            return self._schedule(trace.without_tags(tags))
+            return self._schedule_ablated(trace, tags)
         key = (trace.fingerprint_key(), tags)
         result = cache.get(key)
         if result is None:
-            result = _warm.lookup_schedule(key)
-            if result is None:
-                if self.columnar:
-                    result = self._schedule_ablated_columnar(trace, tags)
-                else:
-                    result = self._schedule(trace.without_tags(tags))
+            result = self._shared(key, self._schedule_ablated, trace, tags)
             cache.put(key, result)
         return result
+
+    def memo_key(self, key) -> tuple:
+        """The shared-memo key for this model's per-model cache ``key``."""
+        return (key, self.config, self.columnar)
+
+    def _shared(self, key, schedule, *args) -> TimingResult:
+        """The process-wide result for a per-model miss on ``key``; only
+        when no model of this config and engine has one does ``schedule``
+        run.  Called after the per-model miss is counted, so a shared hit
+        changes no per-model telemetry."""
+        memo = trace_cache.SCHEDULE_MEMO
+        memo_key = self.memo_key(key)
+        result = memo.get(memo_key)
+        if result is None:
+            result = schedule(*args)
+            memo.put(memo_key, result)
+        else:
+            _warm.count_schedule_hit()
+        return result
+
+    def _schedule_ablated(self, trace: Trace, tags: frozenset) -> TimingResult:
+        if self.columnar:
+            return self._schedule_ablated_columnar(trace, tags)
+        return self._schedule(trace.without_tags(tags))
 
     # ----------------------------------------------------- columnar schedule
     def _compile(self, trace: Trace):
@@ -203,70 +203,39 @@ class TimingModel:
         self.columnar_compiled_uops += cols.n
         return cols
 
-    def materialize_columnar(self, struct: tuple, addrs, lats) -> Trace:
+    def materialize_columnar(self, store, site: str, tokens: tuple, addrs, lats) -> Trace:
         """Materialize a fused-twin intern miss straight to columns.
 
-        Static column templates are pure functions of the structure, so the
-        compiled arrays are shared process-wide (``struct_columns_cached``);
-        every miss of a known shape then only fills the per-call latency
-        column — neither ``Uop`` objects nor an object-walk first schedule
-        are ever constructed for twin-served calls.  Compile
-        telemetry (counters and the ``columnar_compile`` profiler stage) is
-        credited on each model's *first use* of a shape, so it stays
-        deterministic per machine instead of depending on process history."""
-        entry = self._struct_columns.get(id(struct))
-        if entry is None:
+        ``store`` (a :class:`~repro.sim.columns.StructStore`) holds each
+        shape's structure and static columns once per process, so every miss
+        of a known shape only fills the per-call latency column — neither
+        ``Uop`` objects nor an object-walk schedule are ever constructed for
+        twin-served calls.  Compile telemetry (counters and the
+        ``columnar_compile`` profiler stage) is credited on each model's
+        *first use* of a shape, so it stays deterministic per machine
+        instead of depending on process history."""
+        if (site, tokens) in self._shapes:
+            struct, static = store.entry(site, tokens)
+        else:
             profiler = self.profiler
             if profiler is not None:
                 with profiler.timed("columnar_compile"):
-                    static = struct_columns_cached(struct)
+                    struct, static = store.entry(site, tokens)
             else:
-                static = struct_columns_cached(struct)
-            entry = self._struct_columns[id(struct)] = (struct, static)
+                struct, static = store.entry(site, tokens)
+            self._shapes.add((site, tokens))
             self.columnar_compiles += 1
             self.columnar_compiled_uops += static[0]
-        return materialize_struct_columns(entry[1], struct, addrs, lats)
+        return materialize_struct_columns(static, struct, addrs, lats)
 
     def _schedule_columnar(self, trace: Trace) -> TimingResult:
         cols = getattr(trace, "_columns", None)
         if cols is None:
-            # Compile lazily, on the *second* schedule of a template.  Under
-            # memoization every distinct fingerprint is scheduled exactly once
-            # and then served from the trace cache, so building columns up
-            # front would pay array construction for a single walk — strictly
-            # worse than one interpretive pass.  A template that comes back
-            # (cache eviction, memoization off, ablation variants) compiles
-            # then, and every later schedule walks the arrays.
-            if getattr(trace, "_sched_once", False):
-                cols = self._compile(trace)
-            else:
-                trace._sched_once = True
-                return self._schedule(trace)
-        fp = getattr(trace, "_fingerprint", None)
-        if fp is None:
-            completion, issue_times, ready_times = schedule_columns(cols, self.config)
-            return TimingResult(
-                cycles=completion + self.config.pipeline_overhead,
-                issue_times=tuple(issue_times),
-                ready_times=tuple(ready_times),
-            )
-        # Schedules are pure in (fingerprint, config), so results are shared
-        # process-wide across machine instances (fresh machines per GRID
-        # cell / benchmark repeat re-derive identical results otherwise).
-        # Telemetry is untouched: trace-cache hit/miss and compile counters
-        # are all recorded before this point.
-        key = (fp, self.config)
-        result = _COLUMNAR_SCHEDULES.get(key)
-        if result is None:
-            if len(_COLUMNAR_SCHEDULES) >= _SCHEDULE_MEMO_CAP:
-                _COLUMNAR_SCHEDULES.clear()
-            completion, issue_times, ready_times = schedule_columns(cols, self.config)
-            result = _COLUMNAR_SCHEDULES[key] = TimingResult(
-                cycles=completion + self.config.pipeline_overhead,
-                issue_times=tuple(issue_times),
-                ready_times=tuple(ready_times),
-            )
-        return result
+            # Behind the shared memo a trace reaches the scheduler once per
+            # process, so compiling it would pay array construction for a
+            # single walk.  Twin-materialized traces carry columns from birth.
+            return self._schedule(trace)
+        return self._result(schedule_columns(cols, self.config))
 
     def _schedule_ablated_columnar(self, trace: Trace, tags: frozenset) -> TimingResult:
         cols = getattr(trace, "_columns", None)
@@ -275,30 +244,18 @@ class TimingModel:
         mask = self._ablate_masks.get(tags)
         if mask is None:
             mask = self._ablate_masks[tags] = removed_tag_mask(tags)
-        fp = getattr(trace, "_fingerprint", None)
-        key = None
-        if fp is not None:
-            key = (fp, mask, self.config)
-            result = _COLUMNAR_SCHEDULES.get(key)
-            if result is not None:
-                return result
         if cols.tag_mask & mask:
-            completion, issue_times, ready_times = schedule_columns_ablated(
-                cols, mask, self.config
-            )
-        else:
-            # No uop carries a removed tag: the ablated trace is the trace.
-            completion, issue_times, ready_times = schedule_columns(cols, self.config)
-        result = TimingResult(
+            return self._result(schedule_columns_ablated(cols, mask, self.config))
+        # No uop carries a removed tag: the ablated trace is the trace.
+        return self._result(schedule_columns(cols, self.config))
+
+    def _result(self, scheduled) -> TimingResult:
+        completion, issue_times, ready_times = scheduled
+        return TimingResult(
             cycles=completion + self.config.pipeline_overhead,
             issue_times=tuple(issue_times),
             ready_times=tuple(ready_times),
         )
-        if key is not None:
-            if len(_COLUMNAR_SCHEDULES) >= _SCHEDULE_MEMO_CAP:
-                _COLUMNAR_SCHEDULES.clear()
-            _COLUMNAR_SCHEDULES[key] = result
-        return result
 
     # --------------------------------------------------------------- schedule
     def _schedule(self, trace: Trace) -> TimingResult:

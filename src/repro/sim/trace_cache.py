@@ -9,22 +9,36 @@ so scheduling a structurally identical trace twice is wasted work.  During a
 macro-workload replay the same few dozen fast-path shapes recur hundreds of
 thousands of times.
 
-:class:`TraceCache` memoizes scheduling results keyed by a canonical trace
-fingerprint (:meth:`repro.sim.uop.Trace.fingerprint`), with LRU bounding and
-hit/miss/eviction statistics.  Correctness rests on two guarantees:
+:class:`TraceCache` is a bounded LRU keyed by a canonical trace fingerprint
+(:meth:`repro.sim.uop.Trace.fingerprint`) with hit/miss/eviction
+statistics.  It serves two roles:
+
+* **per-model counters** — each :class:`~repro.sim.timing.TimingModel` owns
+  one, sized by ``CoreConfig.trace_cache_entries``.  Its hit/miss/eviction
+  counts are part of every ``RunResult`` and are byte-compared between
+  serial and sharded runs, so they must depend on the model's own call
+  sequence only;
+* **the shared schedule memo** — :data:`SCHEDULE_MEMO`, one process-wide
+  instance keyed by ``(per-model key, CoreConfig, engine)``.  A model
+  consults it only after its own cache has counted a miss, so the memo
+  replaces the *work* of a miss, never its accounting, and fresh machines
+  (one per matrix cell or benchmark repeat) stop re-deriving results
+  another machine already computed.  The engine is part of the key, so a
+  result one engine computed is never served to the other.
+
+Correctness rests on two guarantees:
 
 * **purity** — the scheduler reads nothing but the fingerprinted fields and
-  the (immutable) :class:`~repro.sim.timing.CoreConfig`; each
-  :class:`~repro.sim.timing.TimingModel` owns its cache, so configs never
-  mix;
+  the (immutable) :class:`~repro.sim.timing.CoreConfig`, and the config is
+  part of every shared key, so configs never mix;
 * **immutability** — cached :class:`~repro.sim.timing.TimingResult` objects
-  are shared between hits and must not be mutated by callers (nothing in the
-  repository does; the differential sweep in
+  are shared between hits and machines and must not be mutated by callers
+  (nothing in the repository does; the differential sweep in
   ``tests/integration/test_trace_cache_differential.py`` would catch it).
 
-Disable with ``CoreConfig(trace_cache_entries=0)``,
-``TCMalloc(memoize_traces=False)``, or ``--no-trace-cache`` on the CLI when
-debugging the scheduler itself.
+Disable memoization — both levels — with
+``CoreConfig(trace_cache_entries=0)``, ``TCMalloc(memoize_traces=False)``,
+or ``--no-trace-cache`` on the CLI when debugging the scheduler itself.
 """
 
 from __future__ import annotations
@@ -115,3 +129,8 @@ class TraceCache:
         :class:`repro.sim.warm.WarmBank`.  Values are the shared immutable
         ``TimingResult`` objects — safe to hand to other caches."""
         return dict(self._entries)
+
+
+#: The process-wide schedule memo (see module docstring).  Capacity bounds a
+#: very long process; a replay touches a few hundred keys.
+SCHEDULE_MEMO = TraceCache(1 << 16)

@@ -11,19 +11,20 @@ dependence edges, tags) is a pure function of the emission site and the
 control-path decisions taken, and only the per-uop latencies (resolved
 against live cache/TLB/predictor state) vary between calls.
 
-:class:`TraceInterner` exploits that with a two-level table:
+:class:`TraceInterner` exploits that with one table keyed by
+``(site, tokens, latencies)``:
 
-* **templates** — ``(site, decision_tokens) -> template_id``.  The site is a
-  short label naming the emission code path (e.g. ``"malloc:fast"``); the
-  tokens are every branch outcome plus every :meth:`~repro.sim.uop
-  .TraceBuilder.note`-d structural decision along the way.
-* **variants** — ``(template_id, latency_tuple) -> Trace``.  The latency
-  tuple has exactly one entry per uop, so its length alone pins the uop
-  count; combined with the template identity it determines the full
-  canonical fingerprint.
+* the **site** is a short label naming the emission code path (e.g.
+  ``"malloc:fast"``);
+* the **tokens** are every branch outcome plus every :meth:`~repro.sim.uop
+  .TraceBuilder.note`-d structural decision along the way — with the site,
+  the *template*, which pins the trace's structure;
+* the **latencies** have exactly one entry per uop, so their length alone
+  pins the uop count; with the template they determine the full canonical
+  fingerprint.
 
 An intern hit therefore returns the *same shared* :class:`Trace` object —
-fingerprint precomputed — in two dict lookups, without materializing a
+fingerprint precomputed — in one dict lookup, without materializing a
 single ``Uop``.  Downstream, :meth:`~repro.sim.timing.TimingModel.run` sees
 the identical fingerprint sequence it would have seen without interning, so
 trace-cache statistics and every scheduling result are byte-identical
@@ -65,7 +66,7 @@ from repro.sim.uop import FingerprintKey, Trace
 
 #: Bound on cached variants.  A macro replay generates a few hundred distinct
 #: (template, latency) combinations; antagonist sweeps a few thousand.  FIFO
-#: eviction (not LRU) keeps the hit path to two dict reads.
+#: eviction (not LRU) keeps the hit path to one dict read.
 DEFAULT_INTERN_VARIANTS = 1 << 16
 
 
@@ -104,7 +105,7 @@ class TraceInternStats:
 
 
 class TraceInterner:
-    """Two-level intern table mapping emission sites to shared traces."""
+    """Intern table mapping ``(site, tokens, latencies)`` to shared traces."""
 
     def __init__(
         self,
@@ -118,12 +119,12 @@ class TraceInterner:
             validate = os.environ.get("REPRO_INTERN_VALIDATE", "") not in ("", "0")
         self.validate = validate
         self.stats = TraceInternStats()
-        self._template_ids: dict[tuple, int] = {}
         self._variants: OrderedDict[tuple, Trace] = OrderedDict()
 
     @property
     def num_templates(self) -> int:
-        return len(self._template_ids)
+        """Distinct ``(site, tokens)`` among the live variants."""
+        return len({key[:2] for key in self._variants})
 
     @property
     def num_variants(self) -> int:
@@ -138,14 +139,8 @@ class TraceInterner:
     ) -> Trace:
         """Return the shared trace for ``(site, tokens, latencies)``,
         materializing (and caching) it on first sight."""
-        template_ids = self._template_ids
-        template_key = (site, tokens)
-        template_id = template_ids.get(template_key)
-        if template_id is None:
-            template_id = len(template_ids)
-            template_ids[template_key] = template_id
-        variant_key = (template_id, latencies)
-        trace = self._variants.get(variant_key)
+        key = (site, tokens, latencies)
+        trace = self._variants.get(key)
         if trace is not None:
             self.stats.hits += 1
             if self.validate:
@@ -157,7 +152,7 @@ class TraceInterner:
         # (site, tokens, latencies), so a banked instance is bit-equal to a
         # fresh one.  The miss above is already counted — bank hits are
         # telemetry-neutral.  Validate mode always materializes.
-        trace = None if self.validate else _warm.lookup_template(site, tokens, latencies)
+        trace = None if self.validate else _warm.lookup_template(key)
         if trace is None:
             trace = materialize()
             # Shared traces are trace-cache keys on every subsequent hit;
@@ -169,7 +164,7 @@ class TraceInterner:
                     f"intern site {site!r}: latency tuple has {len(latencies)} "
                     f"entries for a {len(trace)}-uop trace"
                 )
-        self._variants[variant_key] = trace
+        self._variants[key] = trace
         if len(self._variants) > self.max_variants:
             self._variants.popitem(last=False)
             self.stats.evictions += 1
@@ -188,21 +183,14 @@ class TraceInterner:
             )
 
     def clear(self) -> None:
-        """Drop all templates and variants (stats describe the lifetime)."""
-        self._template_ids.clear()
+        """Drop all variants (stats describe the lifetime)."""
         self._variants.clear()
 
     def export_templates(self) -> dict[tuple, Trace]:
-        """Live variants re-keyed by the instance-independent
-        ``(site, tokens, latencies)`` triple, for harvesting into a
-        :class:`repro.sim.warm.WarmBank` (per-instance template ids do not
-        travel between interners)."""
-        inverse = {tid: key for key, tid in self._template_ids.items()}
-        out: dict[tuple, Trace] = {}
-        for (template_id, latencies), trace in self._variants.items():
-            site, tokens = inverse[template_id]
-            out[(site, tokens, latencies)] = trace
-        return out
+        """A shallow copy of the live variants, keyed by the
+        instance-independent ``(site, tokens, latencies)`` triple, for
+        harvesting into a :class:`repro.sim.warm.WarmBank`."""
+        return dict(self._variants)
 
 
 def interner_from_env() -> TraceInterner | None:

@@ -10,19 +10,32 @@ sampling-style methodologies deliberately produce, that cold start is most
 of the cell.
 
 A :class:`WarmBank` lets a pool of fork-server workers share that work
-**without perturbing a single counter**:
+**without perturbing a single counter**.  It carries what only it provides:
 
-* **telemetry neutrality** — the bank is consulted only *after* a per-cell
-  cache has already recorded its miss.  A bank hit replaces the *work* of
-  the miss (the ``materialize()`` call, the dependency-graph schedule, the
-  stream generation), never the hit/miss accounting.  Per-cell
-  ``trace_cache_hits``/``intern_hits`` — which feed the byte-compared
-  figure payload and the pooled :class:`~repro.obs.metrics.MetricsRegistry`
-  — are identical with and without a bank installed
+* **op streams**, generated once in the parent;
+* **interned templates** — the parent's shared ``Trace`` objects, keyed by
+  ``(site, tokens, latencies)``.  Forked workers reuse the parent's objects
+  instead of materializing their own copies, which keeps their peak RSS
+  flat;
+* **schedule results**, as entries for the process-wide schedule memo
+  (:data:`repro.sim.trace_cache.SCHEDULE_MEMO`).  :func:`install_bank`
+  loads them into the memo, so a pool started with ``spawn`` starts as warm
+  as a forked one.
+
+Three properties make that safe:
+
+* **telemetry neutrality** — templates are consulted, and the schedule memo
+  is consulted, only *after* a per-machine cache has already recorded its
+  miss.  A hit replaces the *work* of the miss (the ``materialize()`` call,
+  the dependency-graph schedule, the stream generation), never the hit/miss
+  accounting.  Per-cell ``trace_cache_hits``/``intern_hits`` — which feed
+  the byte-compared figure payload and the pooled
+  :class:`~repro.obs.metrics.MetricsRegistry` — are identical with and
+  without a bank installed
   (``tests/integration/test_batching_differential.py`` enforces this);
 * **determinism** — banked values are produced by the same pure functions
-  they replace (``TimingModel._schedule`` is a pure function of the
-  fingerprint; an interned trace is fully determined by
+  they replace (a schedule is a pure function of the fingerprint, the core
+  config and nothing else; an interned trace is fully determined by
   ``(site, tokens, latencies)``; op streams are seed-deterministic), so a
   bank hit returns a value bit-equal to what the cold path would compute;
 * **picklability** — a bank built in the parent is shipped to pool workers
@@ -33,13 +46,15 @@ A :class:`WarmBank` lets a pool of fork-server workers share that work
 
 The bank is process-global and installed at most once per worker
 (:func:`install_bank` from the pool initializer).  The serial ``jobs=1``
-path never installs one, keeping the differential baseline cold.
+path never installs one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Callable
+
+from repro.sim import trace_cache
 
 #: Worker-side cap on lazily memoized op streams.  With locality-aware
 #: batching a worker sees a handful of workload families; the cap only
@@ -61,11 +76,13 @@ class WarmBank:
     grows worker-side as cells generate streams the parent didn't pre-build
     (bounded by :data:`MAX_WORKER_STREAMS`).  The ``*_hits`` counters are
     per-process bank effectiveness telemetry — they never feed cell results.
+    ``schedule_hits`` counts every shared schedule-memo hit while the bank
+    is installed.
     """
 
     schedules: dict[Any, Any] = field(default_factory=dict)
-    """Trace-cache key (fingerprint key, or ``(key, frozenset(tags))`` for
-    ablation variants) → shared immutable ``TimingResult``."""
+    """Shared-memo key (see :meth:`repro.sim.timing.TimingModel.memo_key`)
+    → shared immutable ``TimingResult``."""
     templates: dict[tuple, Any] = field(default_factory=dict)
     """``(site, tokens, latencies)`` → shared fingerprinted ``Trace``."""
     streams: dict[tuple, tuple] = field(default_factory=dict)
@@ -94,9 +111,14 @@ _ACTIVE: WarmBank | None = None
 
 
 def install_bank(bank: WarmBank | None) -> None:
-    """Install ``bank`` as this process's warm bank (pool-initializer hook)."""
+    """Install ``bank`` as this process's warm bank (pool-initializer hook),
+    loading its schedules into the shared schedule memo."""
     global _ACTIVE
     _ACTIVE = bank
+    if bank is not None:
+        memo = trace_cache.SCHEDULE_MEMO
+        for key, result in bank.schedules.items():
+            memo.put(key, result)
 
 
 def active_bank() -> WarmBank | None:
@@ -108,29 +130,22 @@ def clear_bank() -> None:
 
 
 # ---------------------------------------------------------------------------
-# Miss-path lookups (called by the sim cache layer, never on hits)
+# Miss-path hooks (called by the sim cache layer, never on per-machine hits)
 # ---------------------------------------------------------------------------
-def lookup_schedule(key: Any) -> Any | None:
-    """A banked ``TimingResult`` for a trace-cache key, or ``None``.
+def count_schedule_hit() -> None:
+    """Credit a shared schedule-memo hit to the installed bank, if any."""
+    if _ACTIVE is not None:
+        _ACTIVE.schedule_hits += 1
 
-    Called by :meth:`repro.sim.timing.TimingModel.run`/``run_ablated`` only
-    after the per-model cache recorded a miss, so hit/miss telemetry is
-    untouched either way."""
+
+def lookup_template(key: tuple) -> Any | None:
+    """A banked interned ``Trace`` for ``(site, tokens, latencies)``, or
+    ``None``.  Called by :meth:`repro.sim.trace_intern.TraceInterner.intern`
+    only after the interner recorded a miss."""
     bank = _ACTIVE
     if bank is None:
         return None
-    result = bank.schedules.get(key)
-    if result is not None:
-        bank.schedule_hits += 1
-    return result
-
-
-def lookup_template(site: str, tokens: tuple, latencies: tuple) -> Any | None:
-    """A banked interned ``Trace``, or ``None`` (same miss-only discipline)."""
-    bank = _ACTIVE
-    if bank is None:
-        return None
-    trace = bank.templates.get((site, tokens, latencies))
+    trace = bank.templates.get(key)
     if trace is not None:
         bank.template_hits += 1
     return trace
@@ -167,11 +182,14 @@ def harvest_machine(bank: WarmBank, machine: Any) -> None:
 
     Duck-typed: anything with a ``timing.cache`` exporting entries and/or an
     ``interner`` exporting templates contributes; first-seen values win
-    (they are all bit-equal by determinism, so the choice is cosmetic)."""
-    cache = getattr(getattr(machine, "timing", None), "cache", None)
+    (they are all bit-equal by determinism, so the choice is cosmetic).
+    Schedules are keyed for the shared memo, so they keep the model's core
+    config and engine."""
+    timing = getattr(machine, "timing", None)
+    cache = getattr(timing, "cache", None)
     if cache is not None:
         for key, result in cache.export_entries().items():
-            bank.schedules.setdefault(key, result)
+            bank.schedules.setdefault(timing.memo_key(key), result)
     interner = getattr(machine, "interner", None)
     if interner is not None:
         for key, trace in interner.export_templates().items():

@@ -101,8 +101,8 @@ class TestPickle:
         assert a == b
 
     def test_template_pickles_with_columns(self):
-        """WarmBank pickles whole templates; compiled columns (and the
-        lazy-compile marker) must ride along and stay usable."""
+        """WarmBank pickles whole templates; compiled columns must ride
+        along and stay usable."""
         trace = TEMPLATES[0]
         compile_trace(trace)
         assert getattr(trace, "_columns", None) is not None
@@ -114,11 +114,10 @@ class TestPickle:
         assert a == b
 
     def test_uncompiled_template_pickles_clean(self):
-        """A template that was only scheduled once (interpretive pass) has
-        no columns yet; it must still pickle and compile on the other side."""
+        """A template scheduled by walking its uops has no columns; it must
+        still pickle and compile on the other side."""
         fresh = pickle.loads(pickle.dumps(TEMPLATES[0]))
         fresh.__dict__.pop("_columns", None)
-        fresh.__dict__.pop("_sched_once", None)
         clone = pickle.loads(pickle.dumps(fresh))
         assert getattr(clone, "_columns", None) is None
         ref = MACHINE.timing._schedule(fresh)
