@@ -13,13 +13,14 @@ writes the numbers to ``BENCH_hot_path.json`` at the repository root.
   process so frequency scaling and OS jitter hit both sides alike, and
   application cache traffic is modeled (the lazy ring hierarchy is part of
   what is being measured).
-* **profiler** — overhead of the opt-in :class:`HotPathProfiler`: wall
-  clock with a profiler attached vs not, plus a direct microbenchmark of
-  what the *disabled* hooks cost (one attribute read and an ``is None``
-  test per allocator call).
-* **observability** — cost of the always-present ``repro.obs`` hook sites
-  with the tracer disabled (one manifest collection plus two global-tracer
-  checks per replay), asserted under 1% of a replay.
+* **profiler** — the :class:`~repro.obs.layers.LayerProfile` measures
+  from outside and leaves no guard on the call path, so what is asserted
+  is byte identity: records and ablations of one replay with the profile
+  around machine construction and replay equal those without it.  The
+  wall-clock cost of profiling is recorded for information only.
+* **observability** — cost of the per-replay hook that remains (one
+  manifest collection and its wall-time stamp), asserted under 1% of a
+  replay.
 
 Both end-to-end configurations produce bit-identical cycle counts —
 asserted here and, exhaustively, by
@@ -41,12 +42,10 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from repro.harness import runner
 from repro.harness.experiments import compare_workload, make_baseline
-from repro.harness.profile import HotPathProfiler
-from repro.harness.runner import run_workload
-from repro.obs.bridges import refill_summary
+from repro.obs.layers import LayerProfile, wrapper_costs
 from repro.obs.manifest import collect_manifest
-from repro.obs.tracer import get_tracer
 from repro.workloads import MACRO_WORKLOADS
 
 #: Same trimmed tab02 set as bench_trace_cache.py.
@@ -155,18 +154,15 @@ def _time_end_to_end():
         )
         # One profiled columnar replay (outside the timed passes) to
         # attribute the slow-path refill share per workload directly.
-        prof = HotPathProfiler()
-        run_workload(
-            make_baseline(),
-            MACRO_WORKLOADS[name].ops(seed=SEED, num_ops=TRIM_OPS),
-            name=name,
-            profiler=prof,
-        )
+        ops = list(MACRO_WORKLOADS[name].ops(seed=SEED, num_ops=TRIM_OPS))
+        with LayerProfile() as prof:
+            runner.run_workload(make_baseline(), ops, name=name)
+        refill = prof.summary()["layers"].get("refill", {"share": 0.0})
         per_workload[name] = {
             "seconds_before": round(best_before, 4),
             "seconds_after": round(best_after, 4),
             "speedup": round(best_before / best_after, 2),
-            "refill_share": round(refill_summary(prof)["refill_share"], 4),
+            "refill_share": round(refill["share"], 4),
         }
         total_before += best_before
         total_after += best_after
@@ -181,54 +177,48 @@ def _time_end_to_end():
 
 
 def _time_profiler():
-    """Profiler cost: attached vs not, plus the disabled-hook microcost."""
+    """Layer profile on vs off: byte identity (asserted) and wall clock
+    (information only)."""
     name = "483.xalancbmk"
     ops = list(MACRO_WORKLOADS[name].ops(seed=SEED, num_ops=TRIM_OPS))
 
-    def replay(profiler):
-        alloc = make_baseline()
+    def replay(profiled):
         with _gc_paused():
             t0 = time.perf_counter()
-            result = run_workload(alloc, ops, name=name, profiler=profiler)
-            return time.perf_counter() - t0, result
+            if profiled:
+                # Machines are built inside the scope (hierarchies bind
+                # their demand walk at construction).
+                with LayerProfile():
+                    result = runner.run_workload(make_baseline(), ops, name=name)
+            else:
+                result = runner.run_workload(make_baseline(), ops, name=name)
+            seconds = time.perf_counter() - t0
+        # CallRecord equality covers every field, ablations included.
+        return seconds, result.records
 
-    seconds_off = min(replay(None)[0] for _ in range(REPEATS))
-    t_on, result = replay(HotPathProfiler())
+    wrapper_costs()  # calibrate once, outside the timed passes
+    t_off, records_off = replay(False)
+    t_on, records_on = replay(True)
     for _ in range(REPEATS - 1):
-        t_on = min(t_on, replay(HotPathProfiler())[0])
-
-    # What the *disabled* hooks cost: the allocator's only per-call guard is
-    # one attribute read plus an ``is None`` test (see TCMalloc._finish).
-    # Time that guard directly and scale by the calls in a replay.
-    machine = make_baseline().machine
-    n = 200_000
-    with _gc_paused():
-        t0 = time.perf_counter()
-        for _ in range(n):
-            if machine.profiler is not None:  # pragma: no cover - always None
-                raise AssertionError
-        guard_seconds = time.perf_counter() - t0
-    calls = len(ops)
-    overhead_disabled = (guard_seconds / n) * calls / seconds_off
-
+        t_off = min(t_off, replay(False)[0])
+        t_on = min(t_on, replay(True)[0])
     return {
         "workload": name,
-        "seconds_profiler_off": round(seconds_off, 4),
+        "seconds_profiler_off": round(t_off, 4),
         "seconds_profiler_on": round(t_on, 4),
-        "overhead_enabled": round(t_on / seconds_off - 1.0, 4),
-        "overhead_disabled": round(overhead_disabled, 6),
-        "allocator_calls": calls,
+        "overhead_enabled": round(t_on / t_off - 1.0, 4),
+        "byte_identical": records_on == records_off,
+        "allocator_calls": len(ops),
     }
 
 
 def _time_observability(replay_seconds: float) -> dict:
-    """Disabled-observability cost per replay.
+    """Observability cost per replay.
 
-    The runner's hook sites are per-*replay*, not per-op: one manifest
-    collection at entry, one global-tracer read plus ``enabled`` check at
-    each end, and a frozen-dataclass copy to stamp the wall time.  Time
-    exactly that sequence and express it as a fraction of the (already
-    measured) replay wall clock.
+    The only hook left on the replay path is per-*replay*, not per-op: one
+    manifest collection at entry and a frozen-dataclass copy to stamp the
+    wall time at exit.  Time exactly that and express it as a fraction of
+    the (already measured) replay wall clock.
     """
     n = 2_000
     name = "483.xalancbmk"
@@ -239,11 +229,6 @@ def _time_observability(replay_seconds: float) -> dict:
                 {"entry": "run_workload", "workload": name,
                  "model_app_traffic": True}
             )
-            tracer = get_tracer()
-            if tracer.enabled:  # pragma: no cover - disabled in this bench
-                raise AssertionError("bench expects the default disabled tracer")
-            if get_tracer().enabled:  # pragma: no cover - exit-side check
-                raise AssertionError
             manifest.finished(0.0)
         hook_seconds = time.perf_counter() - t0
     per_replay = hook_seconds / n
@@ -271,7 +256,7 @@ def main() -> dict:
         # Wall-clock ratios on a 1-CPU (or fully pinned) host are at the
         # mercy of whatever else the machine runs; record the speedup but
         # only gate CI on it when at least 2 CPUs are usable.  Byte
-        # identity and the intern/profiler bounds are asserted regardless.
+        # identity and the intern/manifest bounds are asserted regardless.
         "speedup_asserted": cpus >= 2,
         "end_to_end": end_to_end,
         "profiler": profiler,
@@ -283,11 +268,14 @@ def main() -> dict:
             "scheduling, lazy ring hierarchy, arena slabs, fused fast-path "
             "twins, fused slow-path refill twins).  Passes are interleaved "
             "best-of-N in one process; cycle counts are bit-identical on "
-            "both engines.  per_workload.refill_share is the profiler-"
-            "measured fraction of columnar replay wall time spent in refill "
-            "emission (central cache / page heap / scavenge), now fused.  "
-            "profiler.overhead_disabled is the measured cost of the dormant "
-            "per-call guard, not a config comparison."
+            "both engines.  per_workload.refill_share is the layer "
+            "profile's refill share of a columnar replay's wall time: self "
+            "time of the fused slow twins and the object path's refill "
+            "entry points (central cache / page heap / scavenge).  "
+            "profiler.byte_identical compares records and ablations with a "
+            "LayerProfile around machine construction and replay against "
+            "none; profiler.overhead_enabled is its wall-clock cost, "
+            "information only."
         ),
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -299,9 +287,10 @@ def test_bench_hot_path():
     payload = main()
     assert payload["end_to_end"]["bit_identical"]
     assert payload["end_to_end"]["intern_hit_rate"] >= 0.80
-    # Dormant profiler hooks must stay in the noise (<5% of a replay).
-    assert payload["profiler"]["overhead_disabled"] < 0.05
-    # Disabled observability (manifest + tracer hooks) must cost <1%.
+    # No guard is left on the call path: profiling from outside must not
+    # change a single record or ablation.
+    assert payload["profiler"]["byte_identical"]
+    # The per-replay manifest hook must cost <1%.
     assert payload["observability"]["overhead_disabled"] < 0.01
     if payload["speedup_asserted"]:
         assert payload["speedup"] >= SPEEDUP_FLOOR
@@ -312,8 +301,8 @@ def test_bench_hot_path():
         print(f"  {name:<18}{row['speedup']:.2f}x "
               f"({row['seconds_before']:.3f}s -> {row['seconds_after']:.3f}s, "
               f"refill {100 * row['refill_share']:.1f}%)")
-    print(f"profiler    : {100 * payload['profiler']['overhead_disabled']:.3f}% disabled, "
-          f"{100 * payload['profiler']['overhead_enabled']:.1f}% enabled")
+    print(f"profiler    : byte identical, "
+          f"{100 * payload['profiler']['overhead_enabled']:.1f}% when enabled")
     print(f"observability: {100 * payload['observability']['overhead_disabled']:.4f}% disabled")
     print(f"written to  : {OUT_PATH}")
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.alloc.central_cache import CentralFreeList
 from repro.alloc.constants import K_PAGE_SHIFT, AllocatorConfig
@@ -189,15 +188,10 @@ class TCMalloc:
             else:
                 path = Path.CENTRAL
         else:
-            prof = self.machine.profiler if em.touches_hierarchy else None
-            t0 = perf_counter() if prof is not None else 0.0
             cl, alloc_size = 0, self._pages_for(size) << K_PAGE_SHIFT
             span = self.page_heap.allocate_span(em, self._pages_for(size))
             ptr = span.start_addr
             path = Path.LARGE
-            if prof is not None:
-                prof.add_stage("refill", perf_counter() - t0)
-                prof.count("refill_entries")
 
         if sampled:
             self._record_sample(em, size)
@@ -319,16 +313,11 @@ class TCMalloc:
 
         if cl == 0:
             # Large span: always through the pagemap.
-            prof = self.machine.profiler if em.touches_hierarchy else None
-            t0 = perf_counter() if prof is not None else 0.0
             span, uop = self.page_heap.emit_pagemap_lookup(em, ptr)
             if span is None:
                 raise AssertionError("live large pointer must map to a span")
             self.page_heap.free_span(em, span)
             path = Path.FREE_LARGE
-            if prof is not None:
-                prof.add_stage("refill", perf_counter() - t0)
-                prof.count("refill_entries")
         else:
             # Sized and non-sized frees emit different lookups but share the
             # fast path; no branch distinguishes them, so token it.
@@ -544,25 +533,11 @@ class TCMalloc:
             # A fast-path shape no fused twin served (see Machine.twins).
             self.machine.object_path_fast_calls += 1
         site = _INTERN_SITES.get((kind, path))
-        prof = self.machine.profiler
+        trace = em.build(intern_site=site)
+        result = self.machine.timing.run(trace)
         ablated: dict[str, int] = {}
-        if prof is None:
-            trace = em.build(intern_site=site)
-            result = self.machine.timing.run(trace)
-            for name, tags in self.ablations.items():
-                ablated[name] = self.machine.timing.run_ablated(trace, tags).cycles
-        else:
-            t0 = perf_counter()
-            trace = em.build(intern_site=site)
-            t1 = perf_counter()
-            result = self.machine.timing.run(trace)
-            for name, tags in self.ablations.items():
-                ablated[name] = self.machine.timing.run_ablated(trace, tags).cycles
-            t2 = perf_counter()
-            prof.add_stage("build", t1 - t0)
-            prof.add_stage("schedule", t2 - t1)
-            prof.count("calls")
-            prof.count("uops", len(trace))
+        for name, tags in self.ablations.items():
+            ablated[name] = self.machine.timing.run_ablated(trace, tags).cycles
         record = CallRecord(
             kind=kind,
             size=size,

@@ -10,7 +10,6 @@ functional memory access also emits a priced micro-op.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 from repro.sim.arena import ArenaMemory
 from repro.sim.branch import BranchPredictor
@@ -22,9 +21,6 @@ from repro.sim.timing import CoreConfig, TimingModel, TimingResult
 from repro.sim.tlb import TLB
 from repro.sim.trace_intern import TraceInterner, interner_from_env
 from repro.sim.uop import NULL_TRACE_BUILDER, Tag, Trace, TraceBuilder
-
-if TYPE_CHECKING:
-    from repro.harness.profile import HotPathProfiler
 
 
 def default_memory() -> SimulatedMemory:
@@ -53,10 +49,6 @@ class Machine:
     timing: TimingModel = field(default_factory=lambda: TimingModel(CoreConfig()))
     interner: TraceInterner | None = field(default_factory=interner_from_env)
     """Emission-side intern table; ``None`` disables template interning."""
-    profiler: "HotPathProfiler | None" = None
-    """Opt-in hot-path profiler; ``None`` (the default) costs nothing.  The
-    allocator duck-types it, so any object with ``add_stage``/``count``
-    works — normally a :class:`repro.harness.profile.HotPathProfiler`."""
     clock: int = 0
     """Global cycle count, advanced by allocator calls and application gaps."""
     warming: str | None = None

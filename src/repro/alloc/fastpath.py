@@ -124,7 +124,6 @@ class TCMallocFastPath:
 
         # All slow-path conditions cleared: commit.  From here the primitive
         # sequence mirrors the emitting path exactly.
-        prof = m.profiler
         clock0 = m.clock
         hierarchy = m.hierarchy
         h_read = hierarchy.demand_access
@@ -201,7 +200,7 @@ class TCMallocFastPath:
             length_addr, length_addr, size_field, size_field,
         )
         record = _finish(
-            a, m, prof, "malloc:fast", _TOK_MALLOC[s2i][sampling], lats, addrs,
+            a, m, "malloc:fast", _TOK_MALLOC[s2i][sampling], lats, addrs,
             kind="malloc", size=size, cl=cl, path=_PATH_FAST, ptr=head,
             clock0=clock0,
         )
@@ -239,7 +238,6 @@ class TCMallocFastPath:
         if ptr in flist._contents:
             return None
 
-        prof = m.profiler
         clock0 = m.clock
         hierarchy = m.hierarchy
         h_read = hierarchy.demand_access
@@ -291,7 +289,7 @@ class TCMallocFastPath:
         )
         addrs = (word0, word1, header, header, ptr, length_addr, length_addr)
         return _finish(
-            a, m, prof, "free:fast", _TOK_FREE[s2i][sized], lats, addrs,
+            a, m, "free:fast", _TOK_FREE[s2i][sized], lats, addrs,
             kind="free", size=size, cl=cl, path=_PATH_FREE_FAST, ptr=ptr,
             clock0=clock0,
         )
@@ -345,7 +343,6 @@ class MallaccFastPath(TCMallocFastPath):
         ):
             return None
 
-        prof = m.profiler
         clock0 = m.clock
         hierarchy = m.hierarchy
         h_read = hierarchy.demand_access
@@ -466,7 +463,7 @@ class MallaccFastPath(TCMallocFastPath):
             tokens.insert(5, ("mchd_head_only", head_only))
         tokens.append(("nxtprefetch", do_prefetch))
         record = _finish(
-            a, m, prof, "malloc:fast", tuple(tokens), tuple(lats), tuple(addrs),
+            a, m, "malloc:fast", tuple(tokens), tuple(lats), tuple(addrs),
             kind="malloc", size=size, cl=cl, path=_PATH_FAST, ptr=head,
             clock0=clock0,
         )
@@ -507,7 +504,6 @@ class MallaccFastPath(TCMallocFastPath):
         if ptr in flist._contents:
             return None
 
-        prof = m.profiler
         clock0 = m.clock
         hierarchy = m.hierarchy
         h_read = hierarchy.demand_access
@@ -588,7 +584,7 @@ class MallaccFastPath(TCMallocFastPath):
         tokens.append(("tc_list_too_long", False))
         addrs += (header, ptr, length_addr, length_addr)
         return _finish(
-            a, m, prof, "free:fast", tuple(tokens), tuple(lats), tuple(addrs),
+            a, m, "free:fast", tuple(tokens), tuple(lats), tuple(addrs),
             kind="free", size=size, cl=cl, path=_PATH_FREE_FAST, ptr=ptr,
             clock0=clock0,
         )

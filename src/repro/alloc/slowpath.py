@@ -49,8 +49,6 @@ Registration is by exact allocator type (:func:`register_slowpath` /
 
 from __future__ import annotations
 
-from time import perf_counter
-
 from repro.alloc.constants import (
     K_MAX_DYNAMIC_FREE_LIST_LENGTH,
     K_MAX_PAGES,
@@ -386,7 +384,7 @@ class _Pass:
     """
 
     __slots__ = (
-        "lats", "addrs", "toks", "segs", "clock", "hierarchy", "h_read",
+        "lats", "addrs", "toks", "clock", "hierarchy", "h_read",
         "h_write", "tlb", "mem_read", "mem_write", "predict", "issue_width",
     )
 
@@ -394,7 +392,6 @@ class _Pass:
         self.lats: list[int] = []
         self.addrs: list[int] = []
         self.toks: list = []
-        self.segs = 0
         self.clock = m.clock
         hierarchy = m.hierarchy
         self.hierarchy = hierarchy
@@ -515,8 +512,6 @@ class TCMallocSlowPath:
 
         # All fallback conditions cleared: commit.  From here the primitive
         # sequence mirrors the emitting path exactly.
-        prof = m.profiler
-        t_emit = perf_counter() if prof is not None else 0.0
         clock0 = m.clock
         self._begin(a)
         p = _Pass(m)
@@ -546,11 +541,8 @@ class TCMallocSlowPath:
             site, path = "malloc:page", _PATH_PAGE
         else:
             site, path = "malloc:central", _PATH_CENTRAL
-        if prof is not None:
-            prof.add_stage("refill", perf_counter() - t_emit)
-            prof.count("refill_entries", p.segs)
         record = _finish(
-            a, m, prof, site, tuple(p.toks), tuple(p.lats), tuple(p.addrs),
+            a, m, site, tuple(p.toks), tuple(p.lats), tuple(p.addrs),
             kind="malloc", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
         )
         return ptr, record
@@ -589,8 +581,6 @@ class TCMallocSlowPath:
         if ptr in flist._contents:
             return None  # double free: the reference raises, untouched state
 
-        prof = m.profiler
-        t_emit = perf_counter() if prof is not None else 0.0
         clock0 = m.clock
         self._begin(a)
         p = _Pass(m)
@@ -609,11 +599,8 @@ class TCMallocSlowPath:
         if tc.size_bytes >= config.max_thread_cache_size:
             self._scavenge(p, a)
         p.alus(5)
-        if prof is not None:
-            prof.add_stage("refill", perf_counter() - t_emit)
-            prof.count("refill_entries", p.segs)
         return _finish(
-            a, m, prof, "free:slow", tuple(p.toks), tuple(p.lats), tuple(p.addrs),
+            a, m, "free:slow", tuple(p.toks), tuple(p.lats), tuple(p.addrs),
             kind="free", size=size, cl=cl, path=_PATH_FREE_SLOW, ptr=ptr,
             clock0=clock0,
         )
@@ -741,7 +728,6 @@ class TCMallocSlowPath:
     # -- central-cache refill -----------------------------------------------
     def _fetch(self, p: _Pass, a, cl: int, flist) -> None:
         """ThreadCache._fetch_from_central: batch remove + pushes + slow-start."""
-        p.segs += 1
         table = a.table
         tc = a.thread_cache
         batch = table.batch_size_of(cl)
@@ -957,7 +943,6 @@ class TCMallocSlowPath:
     # -- release back to the central lists ----------------------------------
     def _list_too_long(self, p: _Pass, a, cl: int) -> None:
         """ThreadCache._list_too_long: release one batch + max-length decay."""
-        p.segs += 1
         tc = a.thread_cache
         flist = tc.lists[cl]
         batch = a.table.batch_size_of(cl)
@@ -1047,7 +1032,6 @@ class TCMallocSlowPath:
 
     def _scavenge(self, p: _Pass, a) -> None:
         """ThreadCache._scavenge: drop half the low-water from every class."""
-        p.segs += 1
         tc = a.thread_cache
         tc.stats.scavenges += 1
         for cl in range(1, a.table.num_classes):
@@ -1221,21 +1205,17 @@ class MallaccSlowPath(TCMallocSlowPath):
 # Shared tail and helpers (fast-path and refill twins alike).
 
 
-def _finish(a, m, prof, site, tokens, lats, addrs, *, kind, size, cl, path,
-            ptr, clock0):
+def _finish(a, m, site, tokens, lats, addrs, *, kind, size, cl, path, ptr,
+            clock0):
     """Twin of ``TCMalloc._finish``: intern, price, record, advance.
 
     ``addrs`` holds one address per load, store and prefetch, in access
     order; the structure is compiled from ``(site, tokens)`` only when the
     interner misses."""
-    if prof is not None:
-        t0 = perf_counter()
     trace = m.interner.intern(
         site, tokens, lats,
         lambda: m.timing.materialize_columnar(_STRUCTS, site, tokens, addrs, lats),
     )
-    if prof is not None:
-        t1 = perf_counter()
     timing = m.timing
     result = timing.run(trace)
     ablations = a.ablations
@@ -1246,12 +1226,6 @@ def _finish(a, m, prof, site, tokens, lats, addrs, *, kind, size, cl, path,
         }
     else:
         ablated = {}
-    if prof is not None:
-        t2 = perf_counter()
-        prof.add_stage("build", t1 - t0)
-        prof.add_stage("schedule", t2 - t1)
-        prof.count("calls")
-        prof.count("uops", len(trace))
     record = _CallRecord(
         kind=kind,
         size=size,

@@ -18,7 +18,6 @@ Implements the real TCMalloc heuristics:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from time import perf_counter
 
 from repro.alloc.central_cache import CentralFreeList
 from repro.alloc.constants import (
@@ -139,10 +138,6 @@ class ThreadCache:
     # -- pool transfers ------------------------------------------------------
     def _fetch_from_central(self, em: Emitter, cl: int, deps: tuple[int, ...]) -> None:
         """ThreadCache::FetchFromCentralCache with slow-start growth."""
-        # Profile the refill machinery (detailed emission only: warm-mode
-        # functional calls are already accounted to the warming stage).
-        prof = self.machine.profiler if em.touches_hierarchy else None
-        t0 = perf_counter() if prof is not None else 0.0
         flist = self.lists[cl]
         batch = self.table.batch_size_of(cl)
         num = min(flist.max_length, batch)
@@ -163,14 +158,9 @@ class ThreadCache:
         else:
             new_length = min(flist.max_length + batch, K_MAX_DYNAMIC_FREE_LIST_LENGTH)
             flist.max_length = new_length - (new_length % batch)
-        if prof is not None:
-            prof.add_stage("refill", perf_counter() - t0)
-            prof.count("refill_entries")
 
     def _list_too_long(self, em: Emitter, cl: int, deps: tuple[int, ...]) -> None:
         """Release one batch back to the central list and decay max_length."""
-        prof = self.machine.profiler if em.touches_hierarchy else None
-        t0 = perf_counter() if prof is not None else 0.0
         flist = self.lists[cl]
         batch = self.table.batch_size_of(cl)
         self._release_to_central(em, cl, min(batch, flist.length), deps)
@@ -181,9 +171,6 @@ class ThreadCache:
             if flist.length_overages > 3:
                 flist.max_length -= batch
                 flist.length_overages = 0
-        if prof is not None:
-            prof.add_stage("refill", perf_counter() - t0)
-            prof.count("refill_entries")
 
     def _release_to_central(self, em: Emitter, cl: int, num: int, deps: tuple[int, ...]) -> None:
         flist = self.lists[cl]
@@ -205,8 +192,6 @@ class ThreadCache:
 
     def _scavenge(self, em: Emitter) -> None:
         """Return low-water/2 objects from every list (ThreadCache::Scavenge)."""
-        prof = self.machine.profiler if em.touches_hierarchy else None
-        t0 = perf_counter() if prof is not None else 0.0
         self.stats.scavenges += 1
         for cl in range(1, self.table.num_classes):
             flist = self.lists[cl]
@@ -215,9 +200,6 @@ class ThreadCache:
                 em.note(("scavenge_class", cl))
                 self._release_to_central(em, cl, drop, ())
             flist.low_water = flist.length
-        if prof is not None:
-            prof.add_stage("refill", perf_counter() - t0)
-            prof.count("refill_entries")
 
     # -- introspection ------------------------------------------------------
     def total_objects(self) -> int:

@@ -521,12 +521,3 @@ def get_allocator(name: str) -> AllocatorSpec:
         )
     return spec
 
-
-def stats_of(alloc):
-    """The native stats carrier of any zoo allocator (or adapter), suitable
-    for :func:`repro.obs.bridges.stats_registry`."""
-    inner = getattr(alloc, "inner", alloc)
-    stats = getattr(inner, "stats", None)
-    if stats is not None and not callable(stats):
-        return stats
-    return inner.thread_cache.stats

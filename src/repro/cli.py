@@ -10,8 +10,8 @@ regenerated without writing code:
   processes (``--jobs N``), with per-cell checkpoints (``--checkpoint-dir``)
   and crash-safe resumption (``--resume``);
 * ``breakdown``   — fast-path component costs for a microbenchmark (Fig. 4);
-* ``profile``     — hot-path profiler: where the *simulator* spends wall
-  time replaying a workload (stage table + intern/trace-cache hit rates);
+* ``profile``     — layer profile: where the *simulator* spends wall
+  time replaying a workload (per-layer self times + counter deltas);
 * ``area``        — the Section 6.4 area model;
 * ``validate``    — the Table 1 simulator validation;
 * ``trace``       — replay a workload with the span tracer armed and export
@@ -357,23 +357,24 @@ def cmd_matrix(args: argparse.Namespace) -> None:
 
 
 def cmd_profile(args: argparse.Namespace) -> None:
-    """Replay one workload with the hot-path profiler attached and print the
-    stage/counter table (see docs/profiling.md)."""
+    """Replay one workload inside a :class:`~repro.obs.layers.LayerProfile`
+    and print the per-layer wall-time table, the counter deltas and the
+    fused-twin coverage (see docs/profiling.md)."""
+    from repro.harness import runner
     from repro.harness.experiments import make_baseline, make_mallacc
-    from repro.harness.profile import HotPathProfiler, render_profile
-    from repro.harness.runner import run_workload
+    from repro.obs.layers import LayerProfile
 
     workload = _workload_or_die(args.workload)
     ops = list(workload.ops(seed=args.seed, num_ops=args.ops))
-    if args.mallacc:
-        allocator = make_mallacc(cache_entries=args.entries)
-    else:
-        allocator = make_baseline()
-    profiler = HotPathProfiler()
-    result = run_workload(
-        allocator, ops, name=workload.name, profiler=profiler
-    )
-    summary = profiler.summary()
+    # Hierarchies bind their demand walk at construction, so the allocator
+    # is built inside the scope; the runner is looked up there too.
+    with LayerProfile() as profile:
+        if args.mallacc:
+            allocator = make_mallacc(cache_entries=args.entries)
+        else:
+            allocator = make_baseline()
+        result = runner.run_workload(allocator, ops, name=workload.name)
+    summary = profile.summary()
     summary["twins"] = dict(result.manifest.twins)
     if args.json:
         print(json.dumps(summary, sort_keys=True))
@@ -382,10 +383,11 @@ def cmd_profile(args: argparse.Namespace) -> None:
     print(f"workload          : {workload.name}  "
           f"({len(ops)} ops, seed {args.seed}, {flavor})")
     print(f"allocator cycles  : {result.allocator_cycles}")
-    twins = ", ".join(f"{k}={v}" for k, v in result.manifest.twins)
-    print(f"fused twins       : {twins}")
     print()
-    print(render_profile(summary))
+    print(profile.render())
+    twins = ", ".join(f"{k}={v}" for k, v in result.manifest.twins)
+    print()
+    print(f"fused twins       : {twins}")
 
 
 def _quantile_str(value) -> str:
@@ -809,7 +811,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     prof = sub.add_parser(
         "profile",
-        help="replay one workload with the hot-path profiler (simulator "
+        help="replay one workload inside a layer profile (simulator "
              "wall-time breakdown, not simulated cycles)",
     )
     prof.add_argument("workload")

@@ -186,23 +186,6 @@ def sampling_summary(*results) -> dict[str, float]:
     }
 
 
-def profile_stage_shares(summary: dict) -> dict[str, float]:
-    """Per-stage share of replay wall time from a
-    :meth:`~repro.harness.profile.HotPathProfiler.summary` payload.
-
-    Shares are relative to the ``replay`` stage (the whole op loop); an
-    empty dict means the profiler never saw a replay."""
-    stages = summary.get("stages", {})
-    replay = stages.get("replay", {}).get("seconds", 0.0)
-    if not replay:
-        return {}
-    return {
-        name: stage["seconds"] / replay
-        for name, stage in stages.items()
-        if name != "replay"
-    }
-
-
 def mean_cycles(records: list[CallRecord], malloc_only: bool = True, fast_only: bool = False) -> float:
     sel = [
         r

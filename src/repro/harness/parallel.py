@@ -82,7 +82,6 @@ from repro.harness.metrics import intern_summary, sampling_summary, trace_cache_
 from repro.harness.runner import run_workload
 from repro.obs.bridges import matrix_registry, run_registry
 from repro.obs.manifest import collect_manifest
-from repro.obs.tracer import get_tracer
 from repro.sim.sampling import SamplingConfig
 
 CHECKPOINT_VERSION = 2
@@ -737,8 +736,6 @@ def run_matrix(
 
     stats = MatrixStats(cells_total=len(cells))
     completed: dict[str, CellResult] = {}
-    tracer = get_tracer()
-    trace_t0 = tracer.now_us() if tracer.enabled else 0
     t_start = time.perf_counter()
 
     pending: list[SweepCell] = []
@@ -776,15 +773,6 @@ def run_matrix(
             completed[cell_id] = result
             stats.cells_done += 1
             stats.per_cell_wall[cell_id] = result.wall_seconds
-            if tracer.enabled:
-                # Worker cells run in other processes; log them parent-side
-                # with explicit endpoints so the matrix trace shows every
-                # cell as a span ending "now".
-                dur_us = max(1, int(result.wall_seconds * 1e6))
-                tracer.complete(
-                    "matrix_cell", tracer.now_us() - dur_us, dur_us,
-                    cell=cell_id, workload=result.workload,
-                )
             _emit(progress, {
                 "event": "cell_done",
                 "cell": cell_id,
@@ -869,11 +857,6 @@ def run_matrix(
     pooled.counter("cells_retried").inc(stats.cells_retried)
     pooled.counter("cells_quarantined").inc(stats.cells_quarantined)
     stats.metrics = pooled.to_dict()
-    if tracer.enabled:
-        tracer.complete(
-            "run_matrix", trace_t0, tracer.now_us() - trace_t0,
-            cells=stats.cells_total, jobs=jobs,
-        )
     _emit(progress, {
         "event": "summary",
         "done": stats.cells_done,

@@ -15,9 +15,7 @@ from time import perf_counter
 from typing import Callable, Iterable
 
 from repro.alloc.allocator import CallRecord, TCMalloc
-from repro.harness.profile import HotPathProfiler, machine_counter_snapshot
 from repro.obs.manifest import RunManifest, collect_manifest
-from repro.obs.tracer import get_tracer
 from repro.sim.sampling import (
     MODE_DETAIL,
     MODE_SKIP,
@@ -235,52 +233,16 @@ def _stats_delta(before: list[tuple]) -> tuple[int, int]:
     return hits, misses
 
 
-def _profiler_begin(profiler: HotPathProfiler | None, machines):
-    """Attach ``profiler`` to every distinct machine; returns restore state
-    ``(previous profilers, counter snapshot, replay timer)`` or ``None``."""
-    if profiler is None:
-        return None
-    distinct = _distinct_machines(machines)
-    previous = [(m.profiler, m.timing.profiler) for m in distinct]
-    for m in distinct:
-        m.profiler = profiler
-        # The timing model times columnar template compilation itself (the
-        # ``columnar_compile`` stage, nested inside ``schedule``).
-        m.timing.profiler = profiler
-    counters = machine_counter_snapshot(distinct)
-    timer = profiler.timed("replay")
-    timer.__enter__()
-    return (distinct, previous, counters, timer)
-
-
-def _profiler_end(profiler: HotPathProfiler | None, state) -> None:
-    if profiler is None or state is None:
-        return
-    distinct, previous, counters_before, timer = state
-    timer.__exit__(None, None, None)
-    for machine, (prev, prev_timing) in zip(distinct, previous):
-        machine.profiler = prev
-        machine.timing.profiler = prev_timing
-    after = machine_counter_snapshot(distinct)
-    for name, value in after.items():
-        profiler.count(name, value - counters_before.get(name, 0))
-
-
 def run_workload(
     allocator: TCMalloc,
     ops: Iterable[Op],
     name: str = "",
     model_app_traffic: bool = True,
-    profiler: HotPathProfiler | None = None,
 ) -> RunResult:
     """Replay ``ops`` on ``allocator`` and return the measured results.
 
     The allocator's own record list is disabled; records are captured from
     each call's return value so warmup can be separated cleanly.
-
-    ``profiler`` (opt-in) is attached to the machine for the duration of the
-    replay: it collects per-stage wall time and, afterwards, this run's
-    deltas of the hot-path counters (intern, trace cache, hierarchy).
     """
     allocator.keep_records = False
     machine = allocator.machine
@@ -291,12 +253,9 @@ def run_workload(
         {"entry": "run_workload", "workload": name,
          "model_app_traffic": model_app_traffic},
     )
-    tracer = get_tracer()
-    trace_t0 = tracer.now_us() if tracer.enabled else 0
     wall_t0 = perf_counter()
     cache_before = _stats_snapshot([machine], _cache_stats)
     intern_before = _stats_snapshot([machine], _intern_stats)
-    prof_state = _profiler_begin(profiler, [machine])
 
     for op in ops:
         if op.kind is OpKind.ANTAGONIZE:
@@ -318,15 +277,9 @@ def run_workload(
         else:
             result.records.append(record)
 
-    _profiler_end(profiler, prof_state)
     result.trace_cache_hits, result.trace_cache_misses = _stats_delta(cache_before)
     result.intern_hits, result.intern_misses = _stats_delta(intern_before)
     result.manifest = manifest.finished(perf_counter() - wall_t0, (machine,))
-    if tracer.enabled:
-        tracer.complete(
-            "run_workload", trace_t0, tracer.now_us() - trace_t0,
-            workload=name, calls=len(result.records),
-        )
     return result
 
 
@@ -364,8 +317,6 @@ class SampledRunResult:
     """Functional calls (both warm and skip modes), excluding warmup ops."""
     rounds: int = 1
     """Adaptive refinement rounds this result took (1 = no refinement)."""
-    detail_seconds: float = 0.0
-    warming_seconds: float = 0.0
     trace_cache_hits: int = 0
     trace_cache_misses: int = 0
     intern_hits: int = 0
@@ -449,14 +400,6 @@ class SampledRunResult:
         model (the sampling cost knob)."""
         total = self.detailed_calls + self.warming_calls
         return self.detailed_calls / total if total else 0.0
-
-    @property
-    def warming_throughput(self) -> float:
-        """Functional-warming calls per wall-clock second (0 when nothing
-        was warmed or timing was too coarse to register)."""
-        if self.warming_seconds <= 0.0:
-            return 0.0
-        return self.warming_calls / self.warming_seconds
 
     @property
     def relative_ci_halfwidth(self) -> float:
@@ -544,7 +487,6 @@ def run_workload_sampled(
     config: SamplingConfig | None = None,
     name: str = "",
     model_app_traffic: bool = True,
-    profiler: HotPathProfiler | None = None,
     plan: SamplePlan | None = None,
 ) -> SampledRunResult:
     """Sampled replay: detailed simulation for the plan's intervals,
@@ -567,8 +509,6 @@ def run_workload_sampled(
          "stride": cfg.stride, "target_ci": cfg.target_ci},
         seed=cfg.seed,
     )
-    tracer = get_tracer()
-    trace_t0 = tracer.now_us() if tracer.enabled else 0
     wall_t0 = perf_counter()
     features: list[IntervalFeatures] | None = None
     if plan is None:
@@ -577,9 +517,7 @@ def run_workload_sampled(
     while True:
         rounds += 1
         allocator = allocator_factory()
-        result = _sampled_pass(
-            allocator, ops, cfg, plan, name, model_app_traffic, profiler
-        )
+        result = _sampled_pass(allocator, ops, cfg, plan, name, model_app_traffic)
         result.rounds = rounds
         done = (
             cfg.target_ci is None
@@ -590,12 +528,6 @@ def run_workload_sampled(
             result.manifest = manifest.finished(
                 perf_counter() - wall_t0, (allocator.machine,)
             )
-            if tracer.enabled:
-                tracer.complete(
-                    "run_workload_sampled", trace_t0, tracer.now_us() - trace_t0,
-                    workload=name, rounds=rounds,
-                    detailed_calls=result.detailed_calls,
-                )
             return result
         cfg = denser
         plan, features = plan_for_ops(allocator_factory, ops, cfg, features=features)
@@ -608,7 +540,6 @@ def _sampled_pass(
     plan: SamplePlan,
     name: str,
     model_app_traffic: bool,
-    profiler: HotPathProfiler | None,
 ) -> SampledRunResult:
     """One sampled replay over ``ops`` (the loop mirrors
     :func:`run_workload`; divergences are the per-op mode switch and the
@@ -644,12 +575,7 @@ def _sampled_pass(
     detailed_calls = warming_calls = 0
     cache_before = _stats_snapshot([machine], _cache_stats)
     intern_before = _stats_snapshot([machine], _intern_stats)
-    prof_state = _profiler_begin(profiler, [machine])
-    # Mode spans are long and contiguous; timing only their boundaries keeps
-    # the per-op overhead at one comparison.
     current_mode: int | None = None
-    span_t0 = perf_counter()
-    mode_seconds = {MODE_DETAIL: 0.0, MODE_WARM: 0.0, MODE_SKIP: 0.0}
 
     # Warmup prefix: under "slack" warming only a tail of the warmup calls
     # runs warm (the prefix is interval 0's slack); "always" keeps the whole
@@ -719,10 +645,6 @@ def _sampled_pass(
             if mode != current_mode:
                 if (pending_app or recent_cls) and mode != MODE_SKIP:
                     _flush_deferred_app()
-                now = perf_counter()
-                if current_mode is not None:
-                    mode_seconds[current_mode] += now - span_t0
-                span_t0 = now
                 current_mode = mode
                 machine.warming = _WARMING_OF_MODE.get(mode, "skip")
 
@@ -810,18 +732,9 @@ def _sampled_pass(
                 warming_calls += 1
     finally:
         machine.warming = None
-    if current_mode is not None:
-        mode_seconds[current_mode] += perf_counter() - span_t0
 
     result.detailed_calls = detailed_calls
     result.warming_calls = warming_calls
-    result.detail_seconds = mode_seconds[MODE_DETAIL]
-    result.warming_seconds = mode_seconds[MODE_WARM] + mode_seconds[MODE_SKIP]
-    _profiler_end(profiler, prof_state)
-    if profiler is not None:
-        profiler.add_stage("warming", result.warming_seconds)
-        profiler.count("warming_calls", warming_calls)
-        profiler.count("detailed_calls", detailed_calls)
     result.trace_cache_hits, result.trace_cache_misses = _stats_delta(cache_before)
     result.intern_hits, result.intern_misses = _stats_delta(intern_before)
     return result
@@ -877,7 +790,6 @@ def run_multithreaded(
     ops,
     name: str = "",
     model_app_traffic: bool = True,
-    profiler: HotPathProfiler | None = None,
 ) -> MultiThreadRunResult:
     """Replay a tid-tagged op stream on a
     :class:`repro.alloc.multithread.MultiThreadAllocator`.
@@ -895,12 +807,9 @@ def run_multithreaded(
         {"entry": "run_multithreaded", "workload": name,
          "model_app_traffic": model_app_traffic, "cores": len(machines)},
     )
-    tracer = get_tracer()
-    trace_t0 = tracer.now_us() if tracer.enabled else 0
     wall_t0 = perf_counter()
     cache_before = _stats_snapshot(machines, _cache_stats)
     intern_before = _stats_snapshot(machines, _intern_stats)
-    prof_state = _profiler_begin(profiler, machines)
     app = AppTraffic()
     for op in ops:
         if op.kind is OpKind.ANTAGONIZE:
@@ -929,7 +838,6 @@ def run_multithreaded(
             result.per_thread_cycles[op.tid] = (
                 result.per_thread_cycles.get(op.tid, 0) + record.cycles
             )
-    _profiler_end(profiler, prof_state)
     result.trace_cache_hits, result.trace_cache_misses = _stats_delta(cache_before)
     result.intern_hits, result.intern_misses = _stats_delta(intern_before)
     result.contention_cycles = mt_allocator.contention_cycles()
@@ -937,9 +845,4 @@ def run_multithreaded(
     if stats is not None:
         result.coherence_transfers = stats.remote_transfers
     result.manifest = manifest.finished(perf_counter() - wall_t0, machines)
-    if tracer.enabled:
-        tracer.complete(
-            "run_multithreaded", trace_t0, tracer.now_us() - trace_t0,
-            workload=name, calls=len(result.records),
-        )
     return result

@@ -1,26 +1,19 @@
-"""Bridges from the existing stat carriers into a :class:`MetricsRegistry`.
+"""Bridges from result objects into a :class:`MetricsRegistry`.
 
-Each perf subsystem keeps its native counters (cheap, local, zero-dep);
-these adapters lift them into one registry after the fact, which is how the
-"unify the ad-hoc stats" goal coexists with the hot path staying untouched:
+Each result keeps its native counters (cheap, local, zero-dep); these
+adapters lift them into one registry after the fact, so matrix cells can
+serialize and merge them.  Each bridge aggregates or restructures — none
+only renames fields:
 
 * :func:`run_registry` — a :class:`~repro.harness.runner.RunResult`,
   :class:`~repro.harness.runner.SampledRunResult`, or
-  :class:`~repro.harness.runner.MultiThreadRunResult` (duck-typed);
-* :func:`profiler_registry` — a
-  :class:`~repro.harness.profile.HotPathProfiler`;
-* :func:`stats_registry` — a ``TraceCacheStats``/``TraceInternStats``
-  hits/misses/evictions carrier;
-* :func:`refill_summary` — the slow-path refill stage of a profiler
-  (seconds, entries, share of replay wall time), as a dict and optional
-  gauges;
+  :class:`~repro.harness.runner.MultiThreadRunResult` (duck-typed),
+  including a histogram of its call cycles;
 * :func:`matrix_registry` — re-hydrates and merges the per-cell registries
   a matrix run serialized into its checkpoints;
 * :func:`traffic_registry` — a
   :class:`~repro.traffic.engine.TrafficResult`, including its latency
   histograms (bucket-exact: merged shards reproduce serial percentiles);
-* :func:`warm_registry` — a fork-server warm-bank summary
-  (``MatrixStats.warm``), kept out of the byte-compared per-cell metrics;
 * :func:`tuning_registry` — a
   :class:`~repro.harness.tuning.TuningResult` (points evaluated, front
   size, per-front-point objective gauges labeled by knob vector).
@@ -77,78 +70,6 @@ def run_registry(
     return reg
 
 
-def profiler_registry(
-    profiler, registry: MetricsRegistry | None = None, **labels: object
-) -> MetricsRegistry:
-    """Lift a :class:`HotPathProfiler`'s stages and counters.  Stage wall
-    time becomes a (float) counter labeled by stage, so merged registries
-    sum seconds across cells exactly like ``HotPathProfiler.merge``."""
-    reg = registry if registry is not None else MetricsRegistry()
-    for name, stage in profiler.stages.items():
-        reg.counter("stage_seconds", stage=name, **labels).inc(stage.seconds)
-        reg.counter("stage_entries", stage=name, **labels).inc(stage.entries)
-    for name, value in profiler.counters.items():
-        reg.counter(f"profile_{name}", **labels).inc(value)
-    return reg
-
-
-def refill_summary(
-    profiler, registry: MetricsRegistry | None = None, **labels: object
-) -> dict:
-    """Summarize the slow-path refill machinery from a profiler: seconds
-    spent in refill emission (central-cache fetches/releases, scavenges,
-    large-span traffic — reference hooks or fused columnar twins), entry
-    and segment counts, and the refill share of total replay wall time.
-
-    Optionally lifts the summary into ``registry`` (gauges, so re-bridging
-    the same profiler twice does not double-count)."""
-    refill = profiler.stages.get("refill")
-    replay = profiler.stages.get("replay")
-    seconds = refill.seconds if refill is not None else 0.0
-    entries = refill.entries if refill is not None else 0
-    segments = profiler.counters.get("refill_entries", 0)
-    share = seconds / replay.seconds if replay is not None and replay.seconds else 0.0
-    summary = {
-        "refill_seconds": seconds,
-        "refill_entries": entries,
-        "refill_segments": segments,
-        "refill_share": share,
-    }
-    if registry is not None:
-        registry.gauge("refill_seconds", **labels).set(seconds)
-        registry.gauge("refill_share", **labels).set(share)
-        registry.gauge("refill_segments", **labels).set(float(segments))
-    return summary
-
-
-def stats_registry(
-    stats,
-    name: str,
-    registry: MetricsRegistry | None = None,
-    **labels: object,
-) -> MetricsRegistry:
-    """Lift a stats carrier under the series prefix ``name``.
-
-    Hits/misses(/evictions) carriers (``TraceCacheStats``,
-    ``TraceInternStats``) emit their classic three series.  Counters the
-    carrier lacks default to 0 instead of raising — the allocator zoo's
-    carriers (``HoardStats``, ``BuddyStats``) have no hit/miss notion — and
-    every *other* public numeric field is emitted as its own series, so any
-    allocator's native stats object lifts without a bespoke bridge."""
-    reg = registry if registry is not None else MetricsRegistry()
-    reg.counter(f"{name}_hits", **labels).inc(getattr(stats, "hits", 0))
-    reg.counter(f"{name}_misses", **labels).inc(getattr(stats, "misses", 0))
-    if hasattr(stats, "evictions"):
-        reg.counter(f"{name}_evictions", **labels).inc(stats.evictions)
-    for key, value in vars(stats).items():
-        if key in ("hits", "misses", "evictions") or key.startswith("_"):
-            continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        reg.counter(f"{name}_{key}", **labels).inc(value)
-    return reg
-
-
 def traffic_registry(
     result, registry: MetricsRegistry | None = None, **labels: object
 ) -> MetricsRegistry:
@@ -182,26 +103,6 @@ def matrix_registry(payloads: Iterable[Mapping]) -> MetricsRegistry:
     return MetricsRegistry.merged(
         MetricsRegistry.from_dict(p) for p in payloads if p
     )
-
-
-def warm_registry(
-    warm: Mapping[str, int],
-    registry: MetricsRegistry | None = None,
-    **labels: object,
-) -> MetricsRegistry:
-    """Lift a warm-bank summary (``MatrixStats.warm`` or
-    :meth:`repro.sim.warm.WarmBank.summary`) into a registry.
-
-    Deliberately a *separate* bridge from the per-cell path: warm-bank
-    telemetry describes the harness, not the science, and must never be
-    merged into ``CellResult.metrics`` — the pooled per-cell registry is
-    byte-compared serial-vs-sharded, and serial runs have no bank."""
-    reg = registry if registry is not None else MetricsRegistry()
-    for key in ("schedule_hits", "template_hits", "stream_hits"):
-        reg.counter(f"warm_{key}", **labels).inc(int(warm.get(key, 0)))
-    for key in ("schedules", "templates", "streams"):
-        reg.gauge(f"warm_{key}", **labels).set(int(warm.get(key, 0)))
-    return reg
 
 
 def tuning_registry(

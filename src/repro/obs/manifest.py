@@ -47,7 +47,6 @@ ENV_KNOBS = (
     "REPRO_TRACE_INTERN",
     "REPRO_INTERN_VALIDATE",
     "REPRO_CACHE_IMPL",
-    "REPRO_OBS_TRACE",
     "PYTHONHASHSEED",
 )
 

@@ -1,7 +1,7 @@
 """A mergeable metrics registry: counters, gauges, fixed-bucket histograms.
 
 Before this module, every perf subsystem kept its own ad-hoc stats dict —
-``TraceCacheStats``, ``TraceInternStats``, ``HotPathProfiler.counters``,
+``TraceCacheStats``, ``TraceInternStats``,
 ``MatrixStats.trace_cache/intern/sampling``, the sampled runner's telemetry
 fields.  :class:`MetricsRegistry` is the one queryable interface over all
 of them (see :mod:`repro.obs.bridges` for the adapters), designed around

@@ -8,11 +8,13 @@ balanced because each record carries both endpoints.
 
 Design constraints, in order:
 
-* **disabled must be nearly free** — the global tracer starts disabled;
-  ``tracer.span(...)`` on a disabled tracer returns one shared no-op
-  context manager (no allocation, no clock read).  Hook sites in the
-  runner are per-*replay*, not per-op, so even the enabled cost is noise
-  (``tests/obs/test_observability_differential.py`` asserts byte-identical
+* **no hooks in the simulator** — there is no global tracer.  ``with
+  tracing() as tracer:`` wraps the replay entry points (``run_workload``,
+  ``run_workload_sampled``, ``run_multithreaded``, ``run_traffic``,
+  ``run_matrix`` and the matrix's batch flush) through the patching helper
+  of :mod:`repro.obs.layers` for the scope of the block, so outside a scope
+  tracing costs nothing at all, and inside one a span is recorded per
+  replay, not per op (``tests/obs/test_layers.py`` asserts byte-identical
   simulation results either way);
 * **thread/process-safe ids** — every span records ``os.getpid()`` and
   ``threading.get_native_id()``; nesting depth is tracked per-thread via
@@ -28,7 +30,7 @@ Design constraints, in order:
 Timestamps come from ``perf_counter_ns`` relative to the tracer's epoch:
 monotonic within a process, which is all the viewer needs.  Cross-process
 spans (matrix pool cells) are recorded parent-side via :meth:`Tracer.complete`
-with explicit times.
+with explicit times, when the cell's batch is flushed.
 """
 
 from __future__ import annotations
@@ -61,21 +63,6 @@ class SpanEvent:
     args: tuple[tuple[str, object], ...] = ()
     kind: str = "span"
     """``span`` | ``instant`` | ``counter``."""
-
-
-class _NullSpan:
-    """Shared no-op context manager returned by a disabled tracer."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpan()
 
 
 class _Span:
@@ -116,11 +103,10 @@ class _Span:
 class Tracer:
     """Ring-buffered span tracer; see the module docstring."""
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, enabled: bool = True) -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self.enabled = enabled
         self.dropped = 0
         """Spans evicted from the ring (capacity overflow)."""
         self._events: deque[SpanEvent] = deque(maxlen=capacity)
@@ -128,18 +114,12 @@ class Tracer:
         self._tls = threading.local()
 
     # -- recording (hot-path facing) ----------------------------------------
-    def span(self, name: str, cat: str = "repro", **args) -> "_Span | _NullSpan":
-        """Context manager timing one ``with`` block as a span.  On a
-        disabled tracer this returns a shared no-op — the only cost is the
-        call itself."""
-        if not self.enabled:
-            return _NULL_SPAN
+    def span(self, name: str, cat: str = "repro", **args) -> _Span:
+        """Context manager timing one ``with`` block as a span."""
         return _Span(self, name, cat, args)
 
     def instant(self, name: str, cat: str = "repro", **args) -> None:
         """A zero-duration point event (antagonist hits, mode switches)."""
-        if not self.enabled:
-            return
         self._record(
             SpanEvent(
                 name=name,
@@ -156,8 +136,6 @@ class Tracer:
 
     def counter(self, name: str, value: float, cat: str = "repro") -> None:
         """A counter sample (rendered as a track in Perfetto)."""
-        if not self.enabled:
-            return
         self._record(
             SpanEvent(
                 name=name,
@@ -183,8 +161,6 @@ class Tracer:
     ) -> None:
         """Record a span with explicit endpoints — how the matrix pool logs
         worker cells it only observes from the parent process."""
-        if not self.enabled:
-            return
         self._record(
             SpanEvent(
                 name=name,
@@ -280,44 +256,89 @@ class Tracer:
 
 
 # ---------------------------------------------------------------------------
-# The process-global tracer
+# Tracing a scope
 # ---------------------------------------------------------------------------
-def _tracer_from_env() -> Tracer:
-    """Disabled by default; ``REPRO_OBS_TRACE=1`` arms it at import (handy
-    for tracing a run without touching code)."""
-    flag = os.environ.get("REPRO_OBS_TRACE", "").strip().lower()
-    return Tracer(enabled=flag not in ("", "0", "off", "false", "no"))
-
-
-_GLOBAL = _tracer_from_env()
-
-
-def get_tracer() -> Tracer:
-    """The process-global tracer every instrumented site records into."""
-    return _GLOBAL
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Swap the global tracer (returns the previous one)."""
-    global _GLOBAL
-    previous = _GLOBAL
-    _GLOBAL = tracer
-    return previous
-
-
 class tracing:
-    """``with tracing() as tracer:`` — enable span collection for a scope,
-    restoring the previous global tracer on exit."""
+    """``with tracing() as tracer:`` — record one span per replay entry
+    point called in the block (and one ``matrix_cell`` span per finished
+    matrix cell), restoring every entry point on exit."""
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        self._tracer = Tracer(capacity=capacity, enabled=True)
+        self._tracer = Tracer(capacity=capacity)
 
     def __enter__(self) -> Tracer:
-        self._previous = set_tracer(self._tracer)
+        self._patches = _install(self._tracer)
         return self._tracer
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        set_tracer(self._previous)
+        self._patches.restore()
+
+
+def _spanned(tracer: Tracer, name: str, fn, args_of):
+    """``fn`` recording a ``name`` span whose arguments ``args_of(args,
+    kwargs, result)`` reads off the call and its result."""
+
+    def wrapper(*args, **kwargs):
+        tracer._enter_depth()
+        t0 = tracer.now_us()
+        try:
+            out = fn(*args, **kwargs)
+        finally:
+            tracer._exit_depth()
+        tracer.complete(name, t0, tracer.now_us() - t0, **args_of(args, kwargs, out))
+        return out
+
+    return wrapper
+
+
+def _cell_spans(tracer: Tracer, attempt_round):
+    """``_attempt_round`` recording one ``matrix_cell`` span per cell when
+    its batch is flushed: worker cells run in other processes, so they are
+    logged parent-side with explicit endpoints, each a span ending "now"."""
+
+    def wrapper(*args, on_batch=None, **kwargs):
+        def flush(batch_done):
+            if on_batch is not None:
+                on_batch(batch_done)
+            now = tracer.now_us()
+            for cell_id, result in batch_done.items():
+                dur_us = max(1, int(result.wall_seconds * 1e6))
+                tracer.complete("matrix_cell", now - dur_us, dur_us,
+                                cell=cell_id, workload=result.workload)
+
+        return attempt_round(*args, on_batch=flush, **kwargs)
+
+    return wrapper
+
+
+def _install(tracer: Tracer):
+    """Wrap the replay entry points; returns the patches to restore."""
+    from repro.harness import parallel, runner
+    from repro.obs.layers import Patches
+    from repro.traffic import engine
+
+    def replay(args, kwargs, out):
+        return {"workload": out.workload, "calls": len(out.records)}
+
+    spans = {
+        runner.run_workload: ("run_workload", replay),
+        runner.run_multithreaded: ("run_multithreaded", replay),
+        runner.run_workload_sampled: ("run_workload_sampled", lambda args, kwargs, out: {
+            "workload": out.workload, "rounds": out.rounds,
+            "detailed_calls": out.detailed_calls}),
+        engine.run_traffic: ("run_traffic", lambda args, kwargs, out: {
+            "workload": out.workload, "arrival": out.config.arrival,
+            "requests": out.completed, "flavor": out.flavor}),
+        parallel.run_matrix: ("run_matrix", lambda args, kwargs, out: {
+            "cells": out.stats.cells_total,
+            "jobs": kwargs.get("jobs", args[1] if len(args) > 1 else 1)}),
+    }
+    wrappers = {fn: _spanned(tracer, name, fn, args_of)
+                for fn, (name, args_of) in spans.items()}
+    wrappers[parallel._attempt_round] = _cell_spans(tracer, parallel._attempt_round)
+    patches = Patches()
+    patches.functions(wrappers)
+    return patches
 
 
 def validate_chrome_trace(payload: dict) -> list[str]:

@@ -98,14 +98,10 @@ class TimingModel:
         self.columnar = is_columnar() if columnar is None else columnar
         self._run_schedule = self._schedule_columnar if self.columnar else self._schedule
         #: Template-compilation telemetry (columnar engine only; surfaced by
-        #: the hot-path profiler as ``columnar_templates_compiled`` /
+        #: ``machine_counter_snapshot`` as ``columnar_templates_compiled`` /
         #: ``columnar_uops_compiled``).
         self.columnar_compiles = 0
         self.columnar_compiled_uops = 0
-        #: Optional duck-typed profiler (set alongside ``machine.profiler``);
-        #: when present, compile time is recorded as the ``columnar_compile``
-        #: stage, nested inside the allocator's ``schedule`` span.
-        self.profiler = None
         self._ablate_masks: dict[frozenset, int] = {}
         #: ``(site, tokens)`` of the fused-twin shapes this model has been
         #: credited a compile for (see :meth:`materialize_columnar`).
@@ -190,15 +186,8 @@ class TimingModel:
 
     # ----------------------------------------------------- columnar schedule
     def _compile(self, trace: Trace):
-        """Compile ``trace`` to columns (cached on the instance), counting
-        the compilation and attributing its wall time to the
-        ``columnar_compile`` profiler stage when a profiler is attached."""
-        profiler = self.profiler
-        if profiler is not None:
-            with profiler.timed("columnar_compile"):
-                cols = compile_trace(trace)
-        else:
-            cols = compile_trace(trace)
+        """Compile ``trace`` to columns, counting the compilation."""
+        cols = compile_trace(trace)
         self.columnar_compiles += 1
         self.columnar_compiled_uops += cols.n
         return cols
@@ -210,19 +199,11 @@ class TimingModel:
         shape's structure and static columns once per process, so every miss
         of a known shape only fills the per-call latency column — neither
         ``Uop`` objects nor an object-walk schedule are ever constructed for
-        twin-served calls.  Compile telemetry (counters and the
-        ``columnar_compile`` profiler stage) is credited on each model's
-        *first use* of a shape, so it stays deterministic per machine
+        twin-served calls.  Compile counters are credited on each model's
+        *first use* of a shape, so they stay deterministic per machine
         instead of depending on process history."""
-        if (site, tokens) in self._shapes:
-            struct, static = store.entry(site, tokens)
-        else:
-            profiler = self.profiler
-            if profiler is not None:
-                with profiler.timed("columnar_compile"):
-                    struct, static = store.entry(site, tokens)
-            else:
-                struct, static = store.entry(site, tokens)
+        struct, static = store.entry(site, tokens)
+        if (site, tokens) not in self._shapes:
             self._shapes.add((site, tokens))
             self.columnar_compiles += 1
             self.columnar_compiled_uops += static[0]

@@ -74,16 +74,6 @@ class TraceCacheStats:
         """(hits, misses) — subtract two snapshots to scope stats to a run."""
         return (self.hits, self.misses)
 
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready counters (consumed by
-        :func:`repro.obs.bridges.stats_registry` and reports)."""
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "hit_rate": self.hit_rate,
-        }
-
 
 class TraceCache:
     """LRU map from trace fingerprint to a scheduling result.

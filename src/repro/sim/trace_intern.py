@@ -92,17 +92,6 @@ class TraceInternStats:
         """(hits, misses) — subtract two snapshots to scope stats to a run."""
         return (self.hits, self.misses)
 
-    def as_dict(self) -> dict[str, float]:
-        """JSON-ready counters (consumed by
-        :func:`repro.obs.bridges.stats_registry` and reports)."""
-        return {
-            "hits": float(self.hits),
-            "misses": float(self.misses),
-            "evictions": float(self.evictions),
-            "validations": float(self.validations),
-            "hit_rate": self.hit_rate,
-        }
-
 
 class TraceInterner:
     """Intern table mapping ``(site, tokens, latencies)`` to shared traces."""

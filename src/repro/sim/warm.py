@@ -92,8 +92,8 @@ class WarmBank:
     stream_hits: int = 0
 
     def summary(self) -> dict[str, int]:
-        """JSON-ready bank sizes and hit counters (for progress streams and
-        :func:`repro.obs.bridges.warm_registry` — kept out of cell metrics)."""
+        """JSON-ready bank sizes and hit counters (``MatrixStats.warm`` —
+        kept out of cell metrics)."""
         return {
             "schedules": len(self.schedules),
             "templates": len(self.templates),

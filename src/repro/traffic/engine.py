@@ -55,7 +55,6 @@ from repro.harness.runner import (
     issuing_core,
 )
 from repro.obs.manifest import RunManifest, collect_manifest
-from repro.obs.tracer import get_tracer
 from repro.sim.sampling import SamplePlan, bootstrap_total_ci, plan_systematic
 from repro.traffic.arrivals import arrival_times
 from repro.traffic.latency import LatencyHistogram
@@ -395,8 +394,6 @@ def run_traffic(
         seed=config.seed,
         requests=len(sessions),
     )
-    tracer = get_tracer()
-    trace_t0 = tracer.now_us() if tracer.enabled else 0
     wall_t0 = perf_counter()
 
     target, machines, views, mt = _make_allocators(
@@ -565,12 +562,6 @@ def run_traffic(
         result.context_switches = getattr(mt, "context_switches", 0)
     result.check_conservation()
     result.manifest = manifest.finished(perf_counter() - wall_t0, machines)
-    if tracer.enabled:
-        tracer.complete(
-            "run_traffic", trace_t0, tracer.now_us() - trace_t0,
-            workload=config.workload, arrival=config.arrival,
-            requests=result.completed, flavor=flavor,
-        )
     return result
 
 

@@ -152,13 +152,13 @@ class TestTwinCoverage:
         assert alloc.machine.object_path_calls == 2 * len(records)
 
     def test_manifest_and_profile_surface_coverage(self):
-        from repro.harness.profile import HotPathProfiler
+        from repro.obs.layers import LayerProfile
 
         ops = list(MICROBENCHMARKS["tp_small"].ops(seed=3, num_ops=200))
         with _engine(None):
             jem = get_allocator("jemalloc").mallacc()
-        prof = HotPathProfiler()
-        result = run_workload(jem, ops, profiler=prof)
+        with LayerProfile() as prof:
+            result = run_workload(jem, ops)
         assert result.manifest.twins == (("MallaccJemalloc", "none"),)
         assert "twins[MallaccJemalloc=none]" in result.manifest.describe()
         assert prof.counters["object_path_calls"] == jem.machine.object_path_calls > 0

@@ -620,33 +620,27 @@ class TestEngineProvenance:
         assert cross_engine_note(a, {"other": 1}) is None  # pre-engine payload
 
     def test_profiler_columnar_compile_stage(self):
-        from repro.harness.profile import HotPathProfiler
+        from repro.obs.layers import LayerProfile
 
         wl = MACRO_WORKLOADS["400.perlbench"]
-        with _engine_env(None, None):
+        with _engine_env(None, None), LayerProfile() as prof:
             alloc = make_baseline(intern_traces=True)
-            prof = HotPathProfiler()
-            run_workload(
-                alloc, wl.ops(seed=7, num_ops=200), name=wl.name, profiler=prof
-            )
+            run_workload(alloc, wl.ops(seed=7, num_ops=200), name=wl.name)
         summary = prof.summary()
         assert summary["counters"]["columnar_templates_compiled"] > 0
         assert summary["counters"]["columnar_uops_compiled"] > 0
-        assert summary["stages"]["columnar_compile"]["entries"] > 0
+        assert summary["layers"]["compile"]["calls"] > 0
 
     def test_reference_engine_never_compiles(self):
-        from repro.harness.profile import HotPathProfiler
+        from repro.obs.layers import LayerProfile
 
         wl = MICROBENCHMARKS["tp_small"]
-        with _engine_env("reference", None):
+        with _engine_env("reference", None), LayerProfile() as prof:
             alloc = make_baseline(intern_traces=True)
-            prof = HotPathProfiler()
-            run_workload(
-                alloc, wl.ops(seed=7, num_ops=150), name=wl.name, profiler=prof
-            )
+            run_workload(alloc, wl.ops(seed=7, num_ops=150), name=wl.name)
         summary = prof.summary()
         assert summary["counters"]["columnar_templates_compiled"] == 0
-        assert "columnar_compile" not in summary["stages"]
+        assert "compile" not in summary["layers"]
 
 
 class TestHashRandomization:

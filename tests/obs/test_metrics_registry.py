@@ -202,17 +202,7 @@ class TestMatrixPoolMerge:
 
 
 class TestWarmBridge:
-    """warm_registry lifts MatrixStats.warm without touching cell metrics."""
-
-    def test_warm_registry_series(self):
-        from repro.obs.bridges import warm_registry
-
-        warm = {"schedules": 83, "templates": 16, "streams": 2,
-                "schedule_hits": 210, "template_hits": 52, "stream_hits": 4}
-        reg = warm_registry(warm, jobs="4")
-        assert reg.total("warm_schedule_hits") == 210.0
-        assert reg.total("warm_stream_hits") == 4.0
-        assert reg.gauge("warm_schedules", jobs="4").value == 83.0
+    """MatrixStats.warm (the warm-bank summary) stays out of cell metrics."""
 
     def test_warm_telemetry_stays_out_of_pooled_cell_metrics(self):
         """The pooled per-cell registry is byte-compared serial vs sharded;

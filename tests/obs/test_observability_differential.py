@@ -5,9 +5,6 @@ Everything here compares *result* payloads (records, summaries, figure
 data) — never wall times or manifests, which legitimately differ."""
 
 import json
-import os
-import subprocess
-import sys
 
 from repro.harness.experiments import (
     compare_workload,
@@ -17,7 +14,7 @@ from repro.harness.experiments import (
     summarize_sampled_comparison,
 )
 from repro.harness.runner import run_workload
-from repro.obs.tracer import Tracer, set_tracer, tracing
+from repro.obs.tracer import tracing
 from repro.sim.sampling import SamplingConfig
 from repro.workloads import MICROBENCHMARKS
 
@@ -55,18 +52,6 @@ class TestTracingIdentity:
             )
         assert json.dumps(on, sort_keys=True) == json.dumps(off, sort_keys=True)
 
-    def test_disabled_tracer_records_nothing(self):
-        tracer = Tracer(enabled=False)
-        previous = set_tracer(tracer)
-        try:
-            run_workload(
-                make_baseline(),
-                MICROBENCHMARKS[WORKLOAD].ops(seed=SEED, num_ops=50),
-            )
-        finally:
-            set_tracer(previous)
-        assert len(tracer) == 0
-
 
 class TestResultPayloadsExcludeObservability:
     def test_manifest_not_in_summary(self):
@@ -83,32 +68,3 @@ class TestResultPayloadsExcludeObservability:
         # compare equal: manifests are provenance, not results.
         assert a.manifest != b.manifest or a.manifest is None
         assert a == b
-
-
-_ENV_FLAG_SCRIPT = r"""
-import json
-from repro.harness.experiments import compare_workload, summarize_comparison
-from repro.workloads import MICROBENCHMARKS
-
-c = compare_workload(MICROBENCHMARKS["tp_small"], num_ops=200, seed=11)
-print(json.dumps(summarize_comparison(c), sort_keys=True))
-"""
-
-
-class TestEnvFlagIdentity:
-    def test_repro_obs_trace_env_flag_does_not_change_results(self):
-        outputs = []
-        for flag in ("0", "1"):
-            env = dict(os.environ, REPRO_OBS_TRACE=flag)
-            env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
-            proc = subprocess.run(
-                [sys.executable, "-c", _ENV_FLAG_SCRIPT],
-                capture_output=True,
-                text=True,
-                env=env,
-                cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
-                timeout=120,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(proc.stdout.strip())
-        assert outputs[0] == outputs[1]

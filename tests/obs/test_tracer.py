@@ -1,4 +1,4 @@
-"""Unit tests for the span tracer: ring bounds, disabled cost model,
+"""Unit tests for the span tracer: ring bounds, the ``tracing()`` scope,
 Chrome-trace export shape, and the schema validator itself."""
 
 import json
@@ -7,26 +7,32 @@ import pytest
 
 from repro.obs.tracer import (
     Tracer,
-    _NULL_SPAN,
-    get_tracer,
     iter_spans,
-    set_tracer,
     tracing,
     validate_chrome_trace,
 )
 
+#: Every replay entry point a ``tracing()`` scope wraps, as (module, name).
+ENTRY_POINTS = (
+    ("repro.harness.runner", "run_workload"),
+    ("repro.harness.runner", "run_workload_sampled"),
+    ("repro.harness.runner", "run_multithreaded"),
+    ("repro.traffic.engine", "run_traffic"),
+    ("repro.harness.parallel", "run_matrix"),
+    ("repro.harness.parallel", "_attempt_round"),
+)
+
+
+def _entry_points():
+    import importlib
+
+    return {
+        (mod, name): getattr(importlib.import_module(mod), name)
+        for mod, name in ENTRY_POINTS
+    }
+
 
 class TestTracerCore:
-    def test_disabled_span_is_shared_noop(self):
-        t = Tracer(enabled=False)
-        assert t.span("x") is _NULL_SPAN
-        assert t.span("y", key="v") is _NULL_SPAN
-        with t.span("x"):
-            pass
-        t.instant("i")
-        t.counter("c", 1.0)
-        assert len(t) == 0
-
     def test_span_records_on_exit(self):
         t = Tracer()
         with t.span("outer", workload="tp"):
@@ -80,20 +86,33 @@ class TestTracerCore:
 
 
 class TestGlobalTracer:
-    def test_tracing_scope_swaps_and_restores(self):
-        before = get_tracer()
-        with tracing() as t:
-            assert get_tracer() is t
-            assert t.enabled
-        assert get_tracer() is before
+    """There is no global tracer: a ``tracing()`` scope swaps wrapped entry
+    points in for its duration and the originals back on exit."""
 
-    def test_set_tracer_returns_previous(self):
-        fresh = Tracer(enabled=False)
-        prev = set_tracer(fresh)
-        try:
-            assert get_tracer() is fresh
-        finally:
-            set_tracer(prev)
+    def test_tracing_scope_swaps_and_restores(self):
+        import repro.harness.experiments as experiments
+
+        before = _entry_points()
+        bound = experiments.run_workload
+        with tracing() as t:
+            assert isinstance(t, Tracer)
+            inside = _entry_points()
+            assert all(inside[k] is not before[k] for k in before)
+            # Every module binding is swapped, not only the defining one.
+            assert experiments.run_workload is inside[("repro.harness.runner", "run_workload")]
+        assert _entry_points() == before
+        assert experiments.run_workload is bound
+
+    def test_outside_a_scope_no_entry_point_is_wrapped(self):
+        """There is no global tracer: outside a scope every entry point is
+        the function its module defines, also after a scope that raised."""
+        before = _entry_points()
+        with pytest.raises(RuntimeError):
+            with tracing():
+                raise RuntimeError("boom")
+        for (mod, name), fn in _entry_points().items():
+            assert fn is before[(mod, name)]
+            assert fn.__module__ == mod and fn.__name__ == name
 
 
 class TestChromeExport:

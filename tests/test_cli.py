@@ -62,16 +62,23 @@ class TestCli:
 
     def test_profile(self, capsys):
         out = run_cli(capsys, "profile", "tp_small", "--ops", "400")
-        assert "replay" in out and "schedule" in out
-        assert "intern_hit_rate" in out
+        assert "hier.probe" in out and "schedule" in out
+        assert "coverage" in out and "intern_hits" in out
+        assert "fused twins" in out
 
     def test_profile_json(self, capsys):
         import json
 
         out = run_cli(capsys, "profile", "tp_small", "--ops", "300", "--json")
         payload = json.loads(out)
-        assert set(payload["stages"]) >= {"replay", "emission", "build", "schedule"}
-        assert payload["counters"]["calls"] > 0
+        layers = payload["layers"]
+        assert set(layers) >= {"runner", "alloc", "intern", "schedule", "hier.probe",
+                               "tlb", "mem"}
+        assert "emission" not in layers
+        assert all(row["self_seconds"] > 0 and row["calls"] > 0 for row in layers.values())
+        assert abs(payload["coverage"] - 1.0) < 0.05
+        assert payload["counters"]["hierarchy_probes"] == layers["hier.probe"]["calls"]
+        assert set(payload["twins"]) == {"TCMalloc"}
 
     def test_run_no_intern(self, capsys):
         out = run_cli(capsys, "run", "tp_small", "--ops", "300", "--no-intern")
