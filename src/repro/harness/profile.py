@@ -1,11 +1,11 @@
 """Simulated-hardware counters of a group of machines.
 
 :func:`machine_counter_snapshot` sums the hot-path counters — L1
-hits/misses and probes, DRAM accesses, intern and trace-cache hits/misses,
-columnar compiles, and the calls no fused twin served — over distinct
-machines.  ``repro profile`` (:class:`repro.obs.layers.LayerProfile`)
-reports their deltas beside its per-layer wall times, and the end-to-end
-benchmark reads them too.
+hits/misses and probes, DRAM accesses, lazy-hierarchy degrades, intern and
+trace-cache hits/misses, columnar compiles, and the calls no fused twin
+served — over distinct machines.  ``repro profile``
+(:class:`repro.obs.layers.LayerProfile`) reports their deltas beside its
+per-layer wall times, and the end-to-end benchmark reads them too.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ def machine_counter_snapshot(machines) -> dict[str, int]:
         "l1_misses": 0,
         "hierarchy_probes": 0,
         "dram_accesses": 0,
+        "hierarchy_degrades": 0,
         "intern_hits": 0,
         "intern_misses": 0,
         "trace_cache_hits": 0,
@@ -47,6 +48,7 @@ def machine_counter_snapshot(machines) -> dict[str, int]:
             totals["l1_misses"] += l1.misses
             totals["hierarchy_probes"] += l1.hits + l1.misses
             totals["dram_accesses"] += machine.hierarchy.dram_accesses
+            totals["hierarchy_degrades"] += getattr(machine.hierarchy, "degrades", 0)
         interner = machine.interner
         if interner is not None and id(interner) not in seen_interners:
             seen_interners.add(id(interner))

@@ -1,145 +1,166 @@
 """Lazy ring-aware cache hierarchy — the columnar engine's cache model.
 
-The dominant simulator cost after interning and memoization is application
-ring traffic: every op streams tens to hundreds of consecutive cache lines
-through a 2 MB ring (:data:`RING_BASE`), and the reference hierarchy pays
-~12 dict operations per line keeping three levels of LRU sets current.
-Almost all of that state is overwritten by later ring lines before anything
-observes it.  :class:`LazyRingHierarchy` exploits that: ring bursts are
-*logged*, not applied, and a cache set is materialized — its pending ring
-fills replayed — only when an allocator access (or an escape hatch like
-``antagonize``) actually looks at it.
+Each op streams ``app_lines`` consecutive cache lines of application traffic
+through a 2 MiB ring (:data:`RING_BASE`).  The eager :class:`CacheHierarchy`
+pays about a dozen dict operations per line keeping three levels of LRU sets
+current, though nearly every ring line is overwritten before anything looks
+at it.  :class:`LazyRingHierarchy` streams a burst in O(1) and brings a set
+up to date by counting when an allocator access looks at it.  It is exact:
+counters, latencies and every set's LRU order equal the eager hierarchy's,
+which stays the specification and the target of :meth:`_degrade`.
 
-The model is exact, not approximate.  Three structural facts make lazy
-replay equal the reference walk bit-for-bit:
+**One ring clock.**  ``_clock`` counts ring lines streamed; allocator
+accesses do not advance it.  Every set entry carries the clock of its last
+touch at that level, and ring line ``c`` (the ``c``-th streamed) is newer
+than an entry stamped ``s`` iff ``c >= s``.
 
-* **Counters are closed-form.**  A ring line's re-touch can never hit L1 or
-  L2: between touches of the same line a set receives at least one net
-  associativity's worth of younger distinct fills (each back-invalidation
-  removal is paired with an earlier insert into the same set), so every
-  burst contributes exactly ``n`` L1 misses and ``n`` L2 misses, and L3
-  hits/misses follow from the high-water mark of touched ring positions.
-  :meth:`_engage` checks the geometry margin this argument needs.
-* **Set indices nest.**  The set counts are nested powers of two
-  (``n1 | n2 | n3``), so an L2 or L3 victim always maps to the *same*
-  inner-level set as the line whose fill evicted it.  Every eager
-  back-invalidation therefore lands on a set the current walk has already
-  materialized — no event queues, no cross-set deferral.
-* **Stamps order everything else.**  A global monotone stamp ``G`` (one per
-  ring line, one per allocator walk) timestamps every insert.  Lazily
-  discovered L2 evictions are applied to L1 with a stamp guard (remove only
-  copies older than the eviction), which is provably the reference outcome;
-  the rare interleavings the guard cannot reconstruct (an overflowing L1
-  merge whose old entries might have undiscovered L2 evictions) *pull* the
-  relevant L2 sets current first.
+**Runs and segments.**  *Runs* (``_rc``/``_rp``) cover the clock: in a
+counted run the line streamed at clock ``c`` fills set ``(c + phase) % n`` of
+L1 and L2 (set counts divide the ring, so back-to-back bursts and ring wraps
+share one run); window heads and exact walks are uncounted.  *Segments*
+(``_sc``/``_sp``/``_sn``/``_si``) map clocks to ring positions, so the last
+segment covering a position holds its newest touch.  A segment goes once
+newer ones cover its positions and none of its fills can be in L1/L2, so the
+history holds what the newest touches need.  L3 residency of ring positions
+is a bytearray (``_res``).
 
-L3 is always eager for allocator lines (per-set ``{line: stamp}`` dicts);
-ring residency is the interval ``[0, hwm)`` of touched positions minus a
-(normally empty) ``absent`` set of back-invalidated positions, so a warm
-burst is O(1).  Anything the representation cannot express exactly — a
-non-cursor-shaped touch into the ring window, an allocator access landing
-inside the ring, a flush — first materializes everything and then degrades
-permanently to the plain eager hierarchy, which this class inherits.
+**Allocator-only L1/L2 sets.**  A set holds explicit entries — the level's
+``{line: stamp}`` dict in LRU order: allocator lines, and ring lines touched
+outside a counted run — plus ``R`` counted residents, its last ``R`` counted
+fills, the oldest at clock ``L``.  Catching a set up to ``T`` adds the fills
+counted from its first unapplied one (``N``) on and evicts the oldest entries
+of the merged order; a set with no new fill costs one comparison.  Three
+facts make this exact, and :meth:`_engage` checks the geometry each needs:
 
-``REPRO_ENGINE=reference`` never constructs this class; the differential
-suite replays every workload family on both engines and demands identical
-counters, stats, latencies, and set contents.
+* *Counted fills miss L1 and L2.*  After a ring of counted cursor bursts, a
+  burst at the cursor re-touches a line a full ring after its last touch,
+  when its inner sets have had far more than ``assoc`` newer fills (an L3
+  back-invalidation then always comes with an insert into the same inner
+  set, as set counts nest).  Any other burst must pass :meth:`_quiet` — no
+  position in it touched since ``_B``, the oldest touch of any ring line in
+  L1/L2 — or is walked line by line against explicit sets (:meth:`_walk`).
+* *An L2 eviction matters to L1 only for a hot line.*  With ``a1 <= a2``, a
+  line whose L1 and L2 copies were last touched together leaves L1 no later
+  than L2: every line newer in its L2 set is newer in its L1 set.  A line hit
+  in L1 since (stored as ``~stamp``) is hot: its L2 eviction clock goes to
+  ``_rho``, and the L1 catch-up removes it then (the inclusion victim).
+* *L3 is exact.*  Allocator lines stay in per-set dicts; ring positions are
+  stamped by their newest segment, by ``_l3_old`` when that touch stopped at
+  L1/L2, or by ``_l3_stale`` once the segment is gone.  A fill that can evict
+  (an at-risk set holds at least ``a3 - ring_cap`` allocator lines) runs
+  exactly, in clock order, with the victim's inner sets caught up first.
+
+Only :attr:`levels`, which hands out the raw sets, and a malformed window
+degrade to the eager hierarchy (``degrades`` counts them).
+``REPRO_ENGINE=reference`` never builds this class;
+``tests/sim/test_lazyhier_differential.py`` holds it to the eager one.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
+from repro.sim.cache import SetAssociativeCache
 from repro.sim.hierarchy import CacheHierarchy, HierarchyConfig
 
 RING_BASE = 0x0000_7000_0000_0000
 RING_BYTES = 2 * 1024 * 1024
 RING_LINES = RING_BYTES // 64
 _RING_BASE_LINE = RING_BASE >> 6
-#: Ring positions representable before the exact per-line fallback kicks in
-#: (one full ring plus overflow slack for bursts that run past the end).
+#: Ring positions a burst may reach: the ring plus slack for bursts that run
+#: past its end.
 _MAX_POS = RING_LINES + 16384
+_RING_END = RING_BASE + _MAX_POS * 64
+_RING_END_LINE = _RING_BASE_LINE + _MAX_POS
+#: Runs kept before a full catch-up drops those no counted resident needs.
+_MAX_RUNS = 8
+#: A set's next counted fill while the clock runs uncounted.
+_NEVER = 1 << 62
 
-#: Bursts below this many lines are applied to L1/L2 immediately (still
-#: logged for stamps, still interval-tracked in L3).  Small per-op bursts
-#: cost less to apply than the per-access merge bookkeeping they would
-#: otherwise induce; big bursts (heavy antagonists, window-flush tails)
-#: amortize the log and win by never materializing overwritten state.
-_EAGER_MAX = 256
+
+def _gaps(cover, lo: int, hi: int):
+    """The parts of ``[lo, hi)`` that no interval in ``cover`` covers."""
+    for a, b in sorted(cover):
+        if a > lo and lo < hi:
+            yield lo, min(a, hi)
+        lo = max(lo, b)
+    if lo < hi:
+        yield lo, hi
+
+
+class _LazyLevel(SetAssociativeCache):
+    """A level of an engaged :class:`LazyRingHierarchy`, whose ``_sets``
+    leave out the ring lines its ``owner`` tracks by count."""
+
+    owner: LazyRingHierarchy
+
+    @property
+    def resident_lines(self) -> int:
+        return super().resident_lines + self.owner._untracked(self)
 
 
 class LazyRingHierarchy(CacheHierarchy):
-    """Drop-in :class:`CacheHierarchy` with lazy ring-burst application."""
+    """Drop-in :class:`CacheHierarchy` with O(1) application ring bursts."""
 
     def __init__(self, config: HierarchyConfig | None = None) -> None:
         self._lazy = False  # read by _refresh_fast_path during super().__init__
+        self.degrades = 0
         super().__init__(config)
         self._engage()
 
     # ------------------------------------------------------------------ setup
     def _engage(self) -> None:
-        """Switch on lazy operation if the geometry supports it."""
-        if not self._fast:
+        """Switch on lazy operation if the geometry has every property the
+        closed form relies on."""
+        if not self._fast or self._shift != 6:
             return
         n1, n2, n3 = self._n1, self._n2, self._n3
-        a1, a2 = self._a1, self._a2
-        if n2 % n1 or n3 % n2 or self._shift != 6:
-            return  # victim/set alignment or line-size assumption broken
-        # Margin for the closed-form burst counters: one ring lap must churn
-        # every inner set by at least 2x its associativity.
-        if RING_LINES < 2 * a1 * n1 or RING_LINES < 2 * a2 * n2:
-            return
+        if n2 % n1 or n3 % n2:
+            return  # an outer victim must share its evictor's inner sets
+        if RING_LINES % n3 or _RING_BASE_LINE % n3:
+            return  # a ring position's set must be the position mod n
+        if self._a1 > self._a2:
+            return  # a cold line must leave L1 no later than L2
+        if RING_LINES < 2 * self._a1 * n1 or RING_LINES < 2 * self._a2 * n2:
+            return  # one ring must flush every inner set
         if self._a3 <= -(-_MAX_POS // n3):
-            return  # the ring alone could fill an L3 set: bulk path unsound
+            return  # the ring alone could fill an L3 set
         self._lazy = True
-        self._G = 0
-        self._burst_G = 0
-        # Burst log: parallel lists, stamps of entry j are
-        # (G[j], G[j] + n[j]].  inner=False entries (window heads) age only
-        # the L3 and are invisible to L1/L2 pending walks.
-        self._log_first: list[int] = []
-        self._log_n: list[int] = []
-        self._log_G: list[int] = []
-        self._log_inner: list[bool] = []
-        # Inner-only mirror of the log: gathers walk this one, so the scan
-        # never pays for window-head (outer) entries, which can dominate
-        # windowed workloads' logs but never contribute pending L1/L2 fills.
-        self._ilog_first: list[int] = []
-        self._ilog_n: list[int] = []
-        self._ilog_G: list[int] = []
-        # Runs: maximal chains of line-contiguous inner entries.  Each value
-        # is the ilog index where a run starts; gathers walk runs (stepping
-        # candidate lines by ``mod``) instead of individual entries.
-        self._irun_j0: list[int] = []
-        # Prefix sums over the log (entry j covered by [j], [j+1]): inner
-        # ring lines and inner entry counts, for the O(log n) survival bound
-        # in :meth:`_l2_survives`.
-        self._cin_lines: list[int] = [0]
-        self._cin_cnt: list[int] = [0]
-        # Materialization horizons (G units) per set, plus a global floor:
-        # every log entry ending at or below ``_floor`` is already applied
-        # to L1/L2 (eager small bursts), so merges start from
-        # ``max(M[set], _floor)``.  ``_pending`` flips on the first lazy
-        # (logged-but-unapplied) burst; it never clears short of a degrade,
-        # because applying a newer burst eagerly over older pending fills
-        # would break per-set LRU insertion order.
-        self._M1 = [0] * n1
-        self._M2 = [0] * n2
-        self._floor = 0
-        self._pending = False
-        # L1/L2 sets are reused as {line: stamp}, insertion order == LRU.
-        # L3 per-set dicts hold *allocator* lines only; ring residency is
-        # [0, hwm) minus `absent` (position -> None).
-        self._hwm = 0
-        self._absent: dict[int, None] = {}
-        self._cursor = 0  # expected position of the next ring burst
-        # L3 sets whose allocator occupancy could make a cold/absent ring
-        # insert evict: len(dict) >= assoc - max ring lines per set.
-        self._ring_cap = -(-_MAX_POS // n3)  # ceil
+        self._reset()
+        self._refresh_fast_path()
+        for level in (self.l1, self.l2, self.l3):
+            level.__class__ = _LazyLevel
+            level.owner = self
+
+    def _reset(self) -> None:
+        """Fresh lazy state over empty caches."""
+        n1, n2 = self._n1, self._n2
+        self._clock = 0
+        self._rc, self._rp = [0], [-1]
+        self._sc, self._sp, self._sn, self._si = [], [], [], []
+        self._res = bytearray(_MAX_POS)
+        self._l3_old: dict[int, int] = {}
+        self._l3_stale: dict[int, int] = {}
+        # N: clock of a set's first counted fill not yet applied to it.
+        self._N1, self._L1, self._R1 = [_NEVER] * n1, [0] * n1, [0] * n1
+        self._N2, self._L2, self._R2 = [_NEVER] * n2, [0] * n2, [0] * n2
+        self._lvl1 = (self._sets1, n1, self._a1, self._L1, self._R1)
+        self._lvl2 = (self._sets2, n2, self._a2, self._L2, self._R2)
+        self._rho: dict[int, int] = {}
+        self._B = 0
+        self._safe_from = 0
+        self._cursor = 0
+        self._xring = False  # explicit ring entries may exist
+        self._ring_cap = -(-_MAX_POS // self._n3)
         self._risk_len = self._a3 - self._ring_cap
         self._risk3: dict[int, None] = {}
-        self._m1_ctx: tuple[int, dict, dict] | None = None
-        self._refresh_fast_path()
+
+    def _untracked(self, level) -> int:
+        """Lines of ``level`` its ``_sets`` leave out."""
+        if level is self.l3:
+            return self._res.count(1)
+        self._sync_all()
+        return sum(self._R1 if level is self.l1 else self._R2)
 
     def _refresh_fast_path(self) -> None:
         super()._refresh_fast_path()
@@ -150,544 +171,562 @@ class LazyRingHierarchy(CacheHierarchy):
             self._access_inner = self._lazy_access
             self.demand_access = self._lazy_access
         elif self._fast and type(self) is LazyRingHierarchy:
-            # Degraded (or not yet engaged): behave exactly like the plain
-            # hierarchy — our back-invalidation is the inherited one, so the
-            # fully inlined walk is valid.
+            # Degraded (or never engaged): exactly the plain hierarchy.
             self._fast_demand = True
             self._access_inner = self._access_fast_plain
             self.demand_access = self._access_inner
 
-    # ------------------------------------------------------------ degradation
     def _degrade(self) -> None:
-        """Materialize every set exactly, then run eager forever."""
+        """Materialize every set exactly, then run eager from now on."""
         if not self._lazy:
             return
-        self._materialize_inner()
-        # Rebuild L3 sets: merge ring residents (stamped from the log) into
-        # the allocator dicts in global LRU (stamp) order.
-        ring_stamp: dict[int, int] = {}
-        for j in range(len(self._log_first) - 1, -1, -1):
-            first, n, g0 = self._log_first[j], self._log_n[j], self._log_G[j]
-            for line in range(first, first + n):
-                if line not in ring_stamp:
-                    ring_stamp[line] = g0 + (line - first) + 1
-        base = _RING_BASE_LINE
-        absent = self._absent
-        n3 = self._n3
-        sets3 = self._sets3
-        merged: list[dict[int, int]] = [dict(d) for d in sets3]
-        for p in range(self._hwm):
-            if p in absent:
-                continue
-            line = base + p
-            merged[line % n3][line] = ring_stamp[line]
-        for sigma, d in enumerate(merged):
-            sets3[sigma] = dict(sorted(d.items(), key=lambda kv: kv[1]))
-        self.l3._sets = sets3  # same list object; keep the alias honest
+        self.degrades += 1
+        self._sync_all()
+        for lvl in (self._lvl1, self._lvl2):
+            for s in range(lvl[1]):
+                self._materialize(lvl, s)
+        stamp = dict(self._l3_stale)
+        for c0, p0, n in zip(self._sc, self._sp, self._sn):
+            stamp.update(zip(range(p0, p0 + n), range(c0, c0 + n)))
+        stamp.update(self._l3_old)
+        ring: dict[int, list[tuple[int, int]]] = {}
+        for q in range(_MAX_POS):
+            if self._res[q]:
+                ring.setdefault(q % self._n3, []).append((2 * stamp[q], _RING_BASE_LINE + q))
+        # Allocator stamp s sits between ring clocks s - 1 and s: key 2s - 1.
+        for s3, lines in ring.items():
+            d3 = self._sets3[s3]
+            merged = sorted([(2 * v - 1, x) for x, v in d3.items()] + lines, key=lambda kv: kv[0])
+            d3.clear()
+            d3.update((x, key) for key, x in merged)
         self._lazy = False
-        self._log_first = self._log_n = self._log_G = self._log_inner = []  # type: ignore[assignment]
-        self._ilog_first = self._ilog_n = self._ilog_G = []  # type: ignore[assignment]
-        self._irun_j0 = []
-        self._cin_lines = [0]
-        self._cin_cnt = [0]
+        self._res = bytearray()
+        self._sc, self._sp, self._sn, self._si = [], [], [], []
+        for level in (self.l1, self.l2, self.l3):
+            level.__class__ = SetAssociativeCache
+            del level.owner
         self._refresh_fast_path()
 
-    def _materialize_inner(self) -> None:
-        """Bring every L1/L2 set current (exact contents, exact order)."""
-        for sigma in range(self._n1):
-            self._merge_l1(sigma)
-        for sigma in range(self._n2):
-            self._merge_l2(sigma)
+    # ------------------------------------------------------------ ring history
+    def _fills(self, s: int, n: int, x: int, y: int) -> int:
+        """Counted fills into set ``s`` (of ``n``) with clocks in ``[x, y)``."""
+        rc, rp = self._rc, self._rp
+        i = len(rc) - 1
+        if x >= rc[i]:  # within the last run: the common case
+            phi = rp[i]
+            r = (s - phi) % n
+            return (y - 1 - r) // n - (x - 1 - r) // n if phi >= 0 and y > x else 0
+        total = 0
+        while y > x:
+            c0, phi = rc[i], rp[i]
+            lo = c0 if c0 > x else x
+            if phi >= 0 and y > lo:
+                r = (s - phi) % n
+                total += (y - 1 - r) // n - (lo - 1 - r) // n
+            if c0 < y:
+                y = c0
+            i -= 1
+        return total
 
-    # ------------------------------------------------------------ burst log
-    def _gather(self, sigma: int, mod: int, horizon: int, upto: int, assoc: int):
-        """Pending ring fills for set ``sigma`` with stamps in
-        ``(horizon, upto]``: ``(pending, wiped)`` where ``pending`` maps
-        line -> newest stamp, in ascending stamp order (so merges replay it
-        directly, no sort).  Stops early once ``assoc`` distinct lines are
-        found newest-first (``wiped``): older pending can no longer matter.
+    def _nth_fill(self, s: int, n: int, x: int, j: int) -> int:
+        """Clock of the ``j``-th counted fill into set ``s`` at or after ``x``."""
+        rc, rp = self._rc, self._rp
+        last = len(rc) - 1
+        i = last if x >= rc[last] else bisect_right(rc, x) - 1
+        while True:
+            phi = rp[i]
+            if phi >= 0:
+                c = x + (s - phi - x) % n
+                if i == last:
+                    return c + (j - 1) * n
+                if c < rc[i + 1]:
+                    m = (rc[i + 1] - 1 - c) // n + 1
+                    if j <= m:
+                        return c + (j - 1) * n
+                    j -= m
+            elif i == last:
+                raise AssertionError("no such counted fill")
+            i += 1
+            x = rc[i]
 
-        Walks *runs* (``_irun_j0``: maximal line-contiguous entry chains)
-        newest-first, stepping candidate lines by ``mod`` instead of
-        visiting every log entry — for large ``mod`` (the L2 walk) most
-        entries hold no line for ``sigma`` and are skipped wholesale.
-        """
-        ilf, iln, ilG = self._ilog_first, self._ilog_n, self._ilog_G
-        runs = self._irun_j0
-        out: list[tuple[int, int]] = []  # (line, stamp), stamps descending
-        out_append = out.append
-        seen: set[int] | None = None  # built lazily for cross-run dedup
-        j1 = len(ilf)
-        for r in range(len(runs) - 1, -1, -1):
-            j0 = runs[r]
-            jlast = j1 - 1
-            if ilG[jlast] + iln[jlast] <= horizon:
-                break  # this run and everything older is consumed
-            if ilG[j0] >= upto:
-                j1 = j0
-                continue
-            # Clip the stamp window (horizon, upto] to a line interval
-            # [lo, hi]: within a run stamps rise strictly with the line
-            # (entries are line-contiguous; gaps are stamp-only).
-            if upto > ilG[jlast] + iln[jlast]:
-                j = jlast
-                hi = ilf[jlast] + iln[jlast] - 1
-            else:
-                j = bisect_right(ilG, upto, j0, j1) - 1
-                d = upto - ilG[j]
-                n_j = iln[j]
-                hi = ilf[j] + (d if d < n_j else n_j) - 1
-            if horizon <= ilG[j0]:
-                lo = ilf[j0]
-            else:
-                jlo = bisect_right(ilG, horizon, j0, j1) - 1
-                d = horizon - ilG[jlo]
-                n_j = iln[jlo]
-                lo = ilf[jlo] + (d if d < n_j else n_j)
-            j1 = j0
-            # Newest line >= lo matching sigma (mod), walking descending;
-            # stamp == g0 + (line - first) + 1 off the covering entry.
-            last = hi - ((hi - sigma) % mod)
-            if last < lo:
-                continue
-            if out and seen is None:
-                seen = {ln for ln, _ in out}
-            need = assoc - len(out)
-            fj = ilf[j]
-            base = ilG[j] - fj + 1  # stamp of line == base + line, entry j
-            if seen is None:
-                # Common case: the whole request resolves in the newest run
-                # (lines within a run are distinct — no membership tests).
-                for line in range(last, lo - 1, -mod):
-                    if fj > line:
-                        while fj > line:
-                            j -= 1
-                            fj = ilf[j]
-                        base = ilG[j] - fj + 1
-                    out_append((line, base + line))
-                    need -= 1
-                    if not need:
-                        out.reverse()
-                        return dict(out), True
-            else:
-                for line in range(last, lo - 1, -mod):
-                    if fj > line:
-                        while fj > line:
-                            j -= 1
-                            fj = ilf[j]
-                        base = ilG[j] - fj + 1
-                    if line in seen:
-                        continue
-                    seen.add(line)
-                    out_append((line, base + line))
-                    need -= 1
-                    if not need:
-                        out.reverse()
-                        return dict(out), True
-        out.reverse()
-        return dict(out), False
-
-    def _ring_stamp(self, line: int) -> int:
-        """Last-touch stamp of a resident ring line (newest log entry
-        covering it)."""
-        log_first, log_n, log_G = self._log_first, self._log_n, self._log_G
-        for j in range(len(log_first) - 1, -1, -1):
-            first = log_first[j]
-            if first <= line < first + log_n[j]:
-                return log_G[j] + (line - first) + 1
-        raise AssertionError(f"ring line {line:#x} not in burst log")
-
-    # ------------------------------------------------------------------ merge
-    def _apply_removal_l1(self, victim: int, stamp: int) -> None:
-        """A lazily discovered L2 eviction back-invalidates ``victim`` from
-        L1 *as of* ``stamp``: only copies older than the eviction die — a
-        newer copy means the line was re-filled afterwards and survives."""
-        ctx = self._m1_ctx
-        sigma = victim % self._n1
-        if ctx is not None and ctx[0] == sigma:
-            _, old, pending = ctx
-            if victim in old and old[victim] < stamp:
-                del old[victim]
-            if victim in pending and pending[victim] < stamp:
-                del pending[victim]
+    def _mark_run(self, c: int, phi: int) -> None:
+        """Let the clock from ``c`` on run with phase ``phi`` (-1: uncounted)."""
+        rc, rp = self._rc, self._rp
+        if rp[-1] == phi:
             return
-        ways = self._sets1[sigma]
-        if victim in ways and ways[victim] < stamp:
-            del ways[victim]
-
-    def _l2_survives(self, line: int, sigma: int) -> bool:
-        """Cheap sufficient condition that ``line``'s L2 copy survives every
-        pending ring fill for set ``sigma`` — in which case the inclusion
-        guard holds without merging (horizons stay put; the eventual merge
-        replays the same fills with the same outcome).
-
-        Replayed in stamp order, pending fills — all distinct ring lines,
-        all younger than every dict entry — evict oldest-first, so ``line``
-        (rank ``r`` above the oldest entry, set size ``m``, associativity
-        ``a``) is evicted only after more than ``r + (a - m)`` insertions.
-        Pending fills for one set are at most ``inner_lines // n2`` plus one
-        slack line per inner log entry, both read off prefix sums, so the
-        bound costs one bisect instead of a log walk.
-        """
-        ways = self._sets2[sigma]
-        r = 0
-        for k in ways:
-            if k == line:
-                break
-            r += 1
+        if rc[-1] == c:  # the last run holds no clock yet
+            if len(rc) > 1 and rp[-2] == phi:
+                rc.pop()
+                rp.pop()
+            else:
+                rp[-1] = phi
         else:
-            return False  # no L2 copy in the merged state: must merge
-        horizon = self._M2[sigma]
-        if horizon < self._floor:
-            horizon = self._floor
-        # Oldest log entry with stamps past the horizon (entry ends are the
-        # next entry's g0, so both columns are strictly increasing).
-        j0 = bisect_right(self._log_G, horizon) - 1
-        if j0 < 0:
-            j0 = 0
-        fills = (self._cin_lines[-1] - self._cin_lines[j0]) // self._n2 + (
-            self._cin_cnt[-1] - self._cin_cnt[j0]
-        )
-        return fills <= self._a2 - len(ways) + r
+            rc.append(c)
+            rp.append(phi)
+        # Fills from c on follow the new run.
+        for Ns, n in ((self._N1, self._n1), (self._N2, self._n2)):
+            Ns[:] = [
+                x if x < c else c + (s - phi - c) % n if phi >= 0 else _NEVER
+                for s, x in enumerate(Ns)
+            ]
+        if len(rc) > _MAX_RUNS:
+            self._B = self._catch_up_all()
 
-    def _merge_l2(self, sigma: int, upto: int | None = None) -> None:
-        T = self._burst_G if upto is None else upto
-        horizon = self._M2[sigma]
-        if horizon < self._floor:
-            horizon = self._floor
-        if horizon >= T:
-            return
-        a2 = self._a2
-        pending, wiped = self._gather(sigma, self._n2, horizon, T, a2)
-        ways = self._sets2[sigma]
-        self._M2[sigma] = T
-        if not pending:
-            return
-        if wiped:
-            # Every old entry not refreshed by the surviving pending fills
-            # was evicted at some stamp <= T with its L1 copy unrefreshed
-            # since (fills touch both levels together), so the guard with
-            # stamp T is exact.  _apply_removal_l1's common (no-ctx) path is
-            # inlined: this loop dominates the merge's call count.
-            ctx = self._m1_ctx
-            n1 = self._n1
-            sets1 = self._sets1
-            if ctx is None:
-                for v in ways:
-                    if v not in pending:
-                        ways1 = sets1[v % n1]
-                        if v in ways1 and ways1[v] < T:
-                            del ways1[v]
-            else:
-                for v in ways:
-                    if v not in pending:
-                        self._apply_removal_l1(v, T)
-            ways.clear()
-            ways.update(pending)  # _gather yields ascending stamps
-            return
-        for line, s in pending.items():  # ascending stamps from _gather
-            if line in ways:
-                del ways[line]
-            elif len(ways) >= a2:
-                for v in ways:
+    def _first_fill(self, s: int, n: int, c: int) -> int:
+        """The first counted fill into set ``s`` at or after clock ``c`` of
+        the last run, or ``_NEVER``."""
+        phi = self._rp[-1]
+        return c + (s - phi - c) % n if phi >= 0 else _NEVER
+
+    def _mark_seg(self, c: int, p: int, n: int, inner: bool) -> bool:
+        """Record positions ``[p, p + n)`` touched at clocks ``c, c + 1, ...``
+        (``inner``: in L1/L2 too); True if that opened a segment, which the
+        caller prunes once done."""
+        sc, sp, sn = self._sc, self._sp, self._sn
+        if sc and sc[-1] + sn[-1] == c and sp[-1] + sn[-1] == p and self._si[-1] is inner:
+            sn[-1] += n
+            return False
+        sc.append(c)
+        sp.append(p)
+        sn.append(n)
+        self._si.append(inner)
+        return True
+
+    def _prune_segs(self) -> None:
+        """Drop the segments no ring position needs: those whose positions
+        all have a newer inner touch (an L3-only touch leaves an older
+        counted fill in L1/L2, whose line :meth:`_line_at` needs), and those
+        none of whose fills can be in L1/L2, moving the L3 stamps they alone
+        hold to ``_l3_stale``."""
+        sc, sp, sn, si = self._sc, self._sp, self._sn, self._si
+        T = self._clock
+        # Lines last touched before ``floor`` are out of L1 and L2: ``_B``, or
+        # a full ring back once a ring of counted cursor bursts has passed.
+        floor = max(self._B, T - RING_LINES if T >= self._safe_from else 0)
+        every: list[tuple[int, int]] = []  # positions of newer segments
+        inner: list[tuple[int, int]] = []  # positions of newer inner ones
+        keep = []
+        for i in range(len(sc) - 1, -1, -1):
+            lo, hi = sp[i], sp[i] + sn[i]
+            if next(_gaps(inner, lo, hi), None):
+                if sc[i] + sn[i] > floor:
+                    keep.append(i)
+                else:
+                    for a, b in _gaps(every, lo, hi):
+                        for q in range(a, b):
+                            if self._res[q]:
+                                self._l3_stale[q] = q - lo + sc[i]
+            every.append((lo, hi))
+            if si[i]:
+                inner.append((lo, hi))
+        if len(keep) < len(sc):
+            keep.reverse()
+            self._sc, self._sp = [sc[i] for i in keep], [sp[i] for i in keep]
+            self._sn, self._si = [sn[i] for i in keep], [si[i] for i in keep]
+
+    def _newest(self, p: int, n: int) -> int:
+        """Newest touch clock of any position in ``[p, p + n)``, or -1."""
+        sc, sp, sn = self._sc, self._sp, self._sn
+        end = p + n
+        for i in range(len(sc) - 1, -1, -1):
+            lo, hi = sp[i], sp[i] + sn[i]
+            if lo < end and p < hi:
+                return sc[i] + min(hi, end) - 1 - lo
+        return -1
+
+    def _l3_stamp(self, q: int, before: int) -> int:
+        """L3 stamp of resident ring position ``q`` as of clock ``before``."""
+        old = self._l3_old.get(q)
+        if old is not None:
+            return old
+        sc, sp, sn = self._sc, self._sp, self._sn
+        for i in range(len(sc) - 1, -1, -1):
+            d = q - sp[i]
+            if 0 <= d < sn[i] and sc[i] + d < before:
+                return sc[i] + d
+        return self._l3_stale[q]
+
+    def _line_at(self, c: int) -> int:
+        i = bisect_right(self._sc, c) - 1
+        return _RING_BASE_LINE + self._sp[i] + c - self._sc[i]
+
+    # ------------------------------------------------------------ inner sets
+    def _add(self, lvl, s: int, x: int, k: int, record: bool, cap: int = 0) -> None:
+        """Add ``k`` counted fills from clock ``x`` on to set ``s`` and evict
+        the oldest entries of the merged order down to ``cap`` (default: the
+        associativity), as each fill would.  At L2 (``record``) keep the
+        eviction clock of each line hot in L1."""
+        sets, n, a, Ls, Rs = lvl
+        E, R = sets[s], Rs[s]
+        cap = cap or a
+        L = Ls[s] if R or not k else self._nth_fill(s, n, x, 1)
+        first = cap - len(E) - R  # fills into free ways
+        R += k
+        m = k - first  # evictions
+        if m > 0:
+            single = L >= self._rc[-1]  # counted fills from L: one run
+            gone: list[int] = []
+            for v in E:
+                # An explicit entry with i entries gone before it and
+                # ``older`` counted fills older than it is the merged order's
+                # (i + older)-th entry.
+                sv = E[v]
+                if sv < 0:
+                    sv = ~sv
+                older = 0
+                if R and sv > L:
+                    older = (sv - L + n - 1) // n if single else self._fills(s, n, L, sv)
+                pos = len(gone) + older
+                if pos >= m:
                     break
-                del ways[v]
-                self._apply_removal_l1(v, s)
-            ways[line] = s
+                gone.append(v)
+                if record and self._sets1[v % self._n1].get(v, 0) < 0:
+                    self._rho[v] = (
+                        x + (L - x) % n + (first + pos) * n if single
+                        else self._nth_fill(s, n, x, first + pos + 1)
+                    )
+            for v in gone:
+                del E[v]
+            t = m - len(gone)  # counted evictions
+            if t and R > t:
+                L = L + t * n if single else self._nth_fill(s, n, L, t + 1)
+            R -= t
+        Ls[s], Rs[s] = L, R
 
-    def _merge_l1(self, sigma: int, upto: int | None = None) -> None:
-        T = self._burst_G if upto is None else upto
-        horizon = self._M1[sigma]
-        if horizon < self._floor:
-            horizon = self._floor
-        if horizon >= T:
-            return
-        a1 = self._a1
-        pending, wiped = self._gather(sigma, self._n1, horizon, T, a1)
-        ways = self._sets1[sigma]
-        self._M1[sigma] = T
-        if not pending:
-            return
-        if wiped:
-            ways.clear()
-            ways.update(pending)  # _gather yields ascending stamps
-            return
-        if ways and len(ways) + len(pending) > a1:
-            # An eviction may occur, so every old allocator entry must have
-            # its (possibly stale) L2 set pulled current first: an
-            # undiscovered L2 eviction of an old entry would change which
-            # lines survive.  Old *ring* entries cannot be affected — an
-            # undiscovered L2 eviction of a ring line needs a2 pending fills
-            # in its L2 set, all of which are pending here too, forcing the
-            # wipe branch instead.
-            base, limit = _RING_BASE_LINE, _RING_BASE_LINE + _MAX_POS
-            n2 = self._n2
-            burst_G = self._burst_G
-            self._m1_ctx = (sigma, ways, pending)
-            try:
-                for x in list(ways):
-                    if base <= x < limit:
-                        continue
-                    if self._M2[x % n2] < burst_G:
-                        self._merge_l2(x % n2)
-            finally:
-                self._m1_ctx = None
-            if not pending:
+    def _pop_oldest(self, lvl, s: int) -> int | None:
+        """Evict the LRU entry of a current set holding counted residents;
+        returns the line if it was explicit."""
+        sets, n, _, Ls, Rs = lvl
+        E, L, R = sets[s], Ls[s], Rs[s]
+        for v in E:
+            sv = E[v]
+            if L >= (sv if sv >= 0 else ~sv):
+                del E[v]
+                return v
+            break
+        Rs[s] = R - 1
+        if R > 1:
+            Ls[s] = L + n if L >= self._rc[-1] else self._nth_fill(s, n, L + 1, 1)
+        return None
+
+    def _sync2(self, s: int, T: int) -> None:
+        """Apply the fills set ``s`` received before ``T``."""
+        V = self._N2[s]
+        n2, a2 = self._n2, self._a2
+        if V >= self._rc[-1]:  # within the last run: count directly
+            r = (s - self._rp[-1]) % n2
+            k = (T - 1 - r) // n2 - (V - 1 - r) // n2
+            self._N2[s] = T + (r - T) % n2
+            E = self._sets2[s]
+            if k >= a2 and not (E and any(self._sets1[y % self._n1].get(y, 0) < 0 for y in E)):
+                E.clear()  # every old entry is gone, and none was hot in L1
+                self._L2[s] = T - 1 - (T - 1 - r) % n2 - (a2 - 1) * n2
+                self._R2[s] = a2
                 return
-        for line, s in pending.items():  # ascending stamps from _gather
-            if line in ways:
-                del ways[line]
-            elif len(ways) >= a1:
-                for v in ways:
-                    break
-                del ways[v]
-            ways[line] = s
+        else:
+            k = self._fills(s, n2, V, T)
+            self._N2[s] = self._first_fill(s, n2, T)
+        self._add(self._lvl2, s, V, k, True)
+
+    def _sync1(self, s: int, T: int) -> None:
+        """Apply the fills set ``s`` received before ``T``."""
+        V = self._N1[s]
+        n1, a1 = self._n1, self._a1
+        E, lvl = self._sets1[s], self._lvl1
+        if V >= self._rc[-1]:  # within the last run: count directly
+            r = (s - self._rp[-1]) % n1
+            k = (T - 1 - r) // n1 - (V - 1 - r) // n1
+            self._N1[s] = T + (r - T) % n1
+            if k >= a1:  # every old entry is gone, whatever else happened
+                E.clear()
+                self._L1[s] = T - 1 - (T - 1 - r) % n1 - (a1 - 1) * n1
+                self._R1[s] = a1
+                return
+        else:
+            k = self._fills(s, n1, V, T)
+            self._N1[s] = self._first_fill(s, n1, T)
+        if k < a1:  # else every old entry goes, whatever else happens
+            events = []
+            for y, v in E.items():
+                if v < 0:  # hot: its L2 eviction back-invalidates it
+                    s2 = y % self._n2
+                    if self._N2[s2] < T:
+                        self._sync2(s2, T)
+                    rho = self._rho.pop(y, None)
+                    if rho is not None and rho >= V:
+                        events.append((rho, y))
+            for rho, y in sorted(events):
+                kk = self._fills(s, n1, V, rho)
+                if kk:
+                    self._add(lvl, s, V, kk, False)
+                    k -= kk
+                E.pop(y, None)
+                V = rho
+        if k:
+            self._add(lvl, s, V, k, False)
+
+    def _sync_all(self) -> None:
+        T = self._clock
+        for s in range(self._n2):
+            if self._N2[s] < T:
+                self._sync2(s, T)
+        for s in range(self._n1):
+            if self._N1[s] < T:
+                self._sync1(s, T)
+
+    def _catch_up_all(self) -> int:
+        """Catch every inner set up, drop the runs no counted resident needs,
+        and return the oldest touch of any ring line in L1/L2 (or the clock)."""
+        self._sync_all()
+        floor = self._clock
+        for Ls, Rs in ((self._L1, self._R1), (self._L2, self._R2)):
+            for L, R in zip(Ls, Rs):
+                if R and L < floor:
+                    floor = L
+        i = bisect_right(self._rc, floor) - 1
+        if i > 0:
+            del self._rc[:i], self._rp[:i]
+        if self._xring:
+            self._xring = False
+            for sets in (self._sets1, self._sets2):
+                for E in sets:
+                    for y, v in E.items():
+                        if _RING_BASE_LINE <= y < _RING_END_LINE:
+                            self._xring = True
+                            floor = min(floor, v if v >= 0 else ~v)
+        return floor
+
+    def _materialize(self, lvl, s: int) -> None:
+        """Turn the counted residents of a current set into explicit entries."""
+        sets, n, _, Ls, Rs = lvl
+        R = Rs[s]
+        if not R:
+            return
+        Rs[s] = 0
+        clocks = [Ls[s]]
+        while len(clocks) < R:
+            clocks.append(self._nth_fill(s, n, clocks[-1] + 1, 1))
+        E = sets[s]
+        old = list(E.items())
+        E.clear()
+        j = 0
+        for y, v in old:
+            while j < R and clocks[j] < (v if v >= 0 else ~v):
+                E[self._line_at(clocks[j])] = clocks[j]
+                j += 1
+            E[y] = v
+        for c in clocks[j:]:
+            E[self._line_at(c)] = c
+        self._xring = True
+
+    def _catch_up(self, s1: int, s2: int, c: int, explicit: bool) -> None:
+        """Bring L1 set ``s1`` and L2 set ``s2`` up to clock ``c``; with
+        ``explicit``, turn their counted residents into explicit entries."""
+        if self._N2[s2] < c:
+            self._sync2(s2, c)
+        if self._N1[s1] < c:
+            self._sync1(s1, c)
+        if explicit:
+            self._materialize(self._lvl2, s2)
+            self._materialize(self._lvl1, s1)
+
+    def _drop_inner(self, line: int, c: int) -> None:
+        """Back-invalidate ``line`` from L1 and L2 at clock ``c``."""
+        s1, s2 = line % self._n1, line % self._n2
+        self._catch_up(s1, s2, c, False)
+        for lvl, s in ((self._lvl2, s2), (self._lvl1, s1)):
+            E = lvl[0][s]
+            if line not in E and lvl[4][s] and _RING_BASE_LINE <= line < _RING_END_LINE:
+                self._materialize(lvl, s)
+            E.pop(line, None)
+
+    # -------------------------------------------------------------------- L3
+    def _l3_room(self, s3: int, d3: dict[int, int], c: int, skip: int) -> int | None:
+        """Make room in L3 set ``s3`` for a fill at clock ``c``: evict the
+        least recent line if the set is full and back-invalidate it.  Returns
+        the evicted ring position, if any."""
+        res = self._res
+        ring = [q for q in range(s3, _MAX_POS, self._n3) if res[q] and q != skip]
+        if len(d3) + len(ring) < self._a3:
+            return None
+        victim, key, vq = None, None, None
+        for victim in d3:
+            key = 2 * d3[victim] - 1  # allocator stamp s: between ring s-1 and s
+            break
+        for q in ring:
+            k = 2 * self._l3_stamp(q, c)
+            if key is None or k < key:
+                key, vq = k, q
+        if vq is None:
+            del d3[victim]
+            if len(d3) < self._risk_len:
+                self._risk3.pop(s3, None)
+        else:
+            res[vq] = 0
+            self._l3_old.pop(vq, None)
+            victim = _RING_BASE_LINE + vq
+        self._drop_inner(victim, c)
+        return vq
 
     # ------------------------------------------------------------ ring bursts
-    def _ring_burst(self, first_line: int, n: int, inner: bool) -> None:
-        """Apply one contiguous ring burst lazily (see module docstring)."""
-        g0 = self._G
-        self._log_first.append(first_line)
-        self._log_n.append(n)
-        self._log_G.append(g0)
-        self._log_inner.append(inner)
-        cl = self._cin_lines
-        cc = self._cin_cnt
-        if inner:
-            # Coalesce with the previous inner entry when both lines and
-            # stamps are contiguous: the merged entry keeps the closed form
-            # stamp == g0 + (line - first) + 1 exactly, and ``_gather`` is
-            # the inner log's only consumer.  Line-contiguous entries with a
-            # stamp gap (demand accesses consumed stamps in between) stay
-            # separate entries but extend the current *run*; a line gap or
-            # ring wrap starts a new run.
-            ilf = self._ilog_first
-            iln = self._ilog_n
-            if iln and ilf[-1] + iln[-1] == first_line:
-                if self._ilog_G[-1] + iln[-1] == g0:
-                    iln[-1] += n
-                else:
-                    ilf.append(first_line)
-                    iln.append(n)
-                    self._ilog_G.append(g0)
-            else:
-                self._irun_j0.append(len(ilf))
-                ilf.append(first_line)
-                iln.append(n)
-                self._ilog_G.append(g0)
-            cl.append(cl[-1] + n)
-            cc.append(cc[-1] + 1)
-        else:
-            cl.append(cl[-1])
-            cc.append(cc[-1])
-        self._G = g0 + n
-        self._burst_G = self._G
+    def _burst(self, p: int, n: int, counted: bool) -> None:
+        """Stream ring positions ``[p, p + n)`` in O(1): their L1/L2 fills are
+        counted by the sets' catch-ups (``counted``) or skipped (a window
+        head); L3 follows from the residency map."""
+        c = self._clock
+        end = p + n
+        self._mark_run(c, (p - c) % RING_LINES if counted else -1)
+        new_seg = self._mark_seg(c, p, n, counted)
+        res = self._res
+        warm = res.count(1, p, end)
+        if warm != n:
+            if self._risk3:
+                warm = self._risky(p, end, c, warm)
+            res[p:end] = b"\x01" * n
+        if self._l3_old:
+            for q in [q for q in self._l3_old if p <= q < end]:
+                del self._l3_old[q]
+        self._clock = c + n
         self.l1.misses += n
         self.l2.misses += n
-        p0 = first_line - _RING_BASE_LINE
-        end = p0 + n
-        hwm = self._hwm
-        warm_end = end if end < hwm else hwm
-        absent_hit: list[int] = []  # re-touched back-invalidated positions
-        if self._absent and p0 < warm_end:
-            absent_hit = [p for p in self._absent if p0 <= p < warm_end]
-        warm_hits = (warm_end - p0 if warm_end > p0 else 0) - len(absent_hit)
-        cold = end - hwm if end > hwm else 0
-        self.l3.hits += warm_hits
-        misses = cold + len(absent_hit)
-        self.l3.misses += misses
-        self.dram_accesses += misses
-        # Positions whose L3 insert may evict run the exact per-line path,
-        # in stamp order (merge horizons per inner set must be monotone).
-        exceptions = absent_hit
-        if cold and self._risk3:
-            n3 = self._n3
-            lo_line = _RING_BASE_LINE + hwm
-            for sigma in list(self._risk3):
-                off = (sigma - lo_line) % n3
-                for line in range(lo_line + off, _RING_BASE_LINE + end, n3):
-                    exceptions.append(line - _RING_BASE_LINE)
-        if inner and not self._pending and n < _EAGER_MAX:
-            # Eager route: apply the burst's L1/L2 fills now, interleaved
-            # with the exceptional L3 inserts in reference (position) order,
-            # then advance the floor so merges skip this entry.
-            prev = p0
-            for p in sorted(exceptions):
-                if p > prev:
-                    self._apply_inner_segment(
-                        first_line + (prev - p0), p - prev, g0 + (prev - p0)
-                    )
-                self._ring_insert_exception(p, g0 + (p - p0) + 1)
-                self._absent.pop(p, None)
-                prev = p
-            if end > prev:
-                self._apply_inner_segment(
-                    first_line + (prev - p0), end - prev, g0 + (prev - p0)
-                )
-            if cold:
-                self._hwm = end
-            self._floor = self._G
-            return
-        if inner:
-            self._pending = True
-        elif not self._pending:
-            # Window heads never enter L1/L2; with nothing pending the floor
-            # can ride over them so later merges skip the entry outright.
-            self._floor = self._G
-        for p in sorted(exceptions):
-            self._ring_insert_exception(p, g0 + (p - p0) + 1)
-            self._absent.pop(p, None)
-        if cold:
-            self._hwm = end
+        self.l3.hits += warm
+        self.l3.misses += n - warm
+        self.dram_accesses += n - warm
+        if new_seg:
+            self._prune_segs()
 
-    def _apply_inner_segment(self, first: int, n: int, g0: int) -> None:
-        """Eagerly fill L1/L2 for burst lines ``[first, first + n)`` with
-        stamps ``g0+1 .. g0+n`` — exactly what a merge would replay, applied
-        at once.  Relies on the closed-form counter invariant: a ring line's
-        re-touch never hits L1/L2, so every line is a plain miss-fill."""
-        n1, n2 = self._n1, self._n2
-        a1, a2 = self._a1, self._a2
-        sets1, sets2 = self._sets1, self._sets2
-        stamp = g0
-        for line in range(first, first + n):
-            stamp += 1
-            ways2 = sets2[line % n2]
-            if len(ways2) >= a2:
-                for v2 in ways2:
-                    break
-                del ways2[v2]
-                vset = sets1[v2 % n1]
-                if v2 in vset:
-                    del vset[v2]
-            ways2[line] = stamp
-            ways1 = sets1[line % n1]
-            if len(ways1) >= a1:
+    def _risky(self, p: int, end: int, c: int, warm: int) -> int:
+        """Exact L3 fills, in clock order, of a burst's cold positions in
+        at-risk sets; returns the burst's L3 hit count."""
+        n3 = self._n3
+        qs = []
+        for s3 in self._risk3:
+            qs.extend(range(p + (s3 - p) % n3, end, n3))
+        late = set()  # positions evicted before their touch in this burst
+        for q in sorted(qs):
+            if not self._res[q]:
+                if q in late:
+                    warm -= 1
+                v = self._l3_room(q % n3, self._sets3[q % n3], c + q - p, q)
+                if v is not None and q < v < end:
+                    late.add(v)
+                self._res[q] = 1
+            self._l3_old.pop(q, None)  # now stamped by this burst's segment
+        return warm
+
+    def _quiet(self, p: int, n: int) -> bool:
+        """True if no line of positions ``[p, p + n)`` can sit in L1 or L2."""
+        newest = self._newest(p, n)
+        if newest < self._B:
+            return True
+        self._B = self._catch_up_all()
+        return newest < self._B
+
+    def _touch(self, p: int, n: int) -> None:
+        """Stream ring positions ``[p, p + n)`` through all three levels."""
+        if p != self._cursor or self._clock < self._safe_from:
+            if not self._quiet(p, n):
+                for q in range(p, p + n):
+                    self._walk(q)
+                return
+            if p != self._cursor:
+                self._safe_from = self._clock + n + RING_LINES
+        self._burst(p, n, True)
+        self._cursor = (p + n) % RING_LINES
+
+    def _walk(self, q: int) -> int:
+        """One ring line outside a counted run: the eager walk over its
+        inner sets, made explicit."""
+        c = self._clock
+        line = _RING_BASE_LINE + q
+        s1, s2 = q % self._n1, q % self._n2
+        self._catch_up(s1, s2, c, True)
+        self._mark_run(c, -1)
+        new_seg = self._mark_seg(c, q, 1, True)
+        self._clock = c + 1
+        self._safe_from = c + 1 + RING_LINES
+        self._cursor = (q + 1) % RING_LINES
+        self._xring = True
+        ways1, ways2 = self._sets1[s1], self._sets2[s2]
+        if (line in ways1 or line in ways2) and q not in self._l3_old:
+            self._l3_old[q] = self._l3_stamp(q, c)  # L3 is not touched
+        if line in ways1:
+            self.l1.hits += 1
+            del ways1[line]
+            ways1[line] = ~c
+            latency = self._lat1
+        else:
+            self.l1.misses += 1
+            if line in ways2:
+                self.l2.hits += 1
+                del ways2[line]
+                latency = self._lat2
+            else:
+                self.l2.misses += 1
+                self._l3_old.pop(q, None)
+                if self._res[q]:
+                    self.l3.hits += 1
+                    latency = self._lat3
+                else:
+                    self.l3.misses += 1
+                    self.dram_accesses += 1
+                    self._l3_room(q % self._n3, self._sets3[q % self._n3], c, q)
+                    self._res[q] = 1
+                    latency = self._lat_dram
+                if len(ways2) >= self._a2:
+                    for v2 in ways2:
+                        break
+                    del ways2[v2]
+                    ways1.pop(v2, None)
+            ways2[line] = c
+            if len(ways1) >= self._a1:
                 for v1 in ways1:
                     break
                 del ways1[v1]
-            ways1[line] = stamp
-
-    def _ring_insert_exception(self, p: int, stamp: int) -> None:
-        """Exact mid-burst L3 insert for a position that may evict: the set
-        is (or may be) full, so the reference walk's victim choice and
-        back-invalidations must run now, against state materialized up to
-        the instant before this line's fill."""
-        line = _RING_BASE_LINE + p
-        n3 = self._n3
-        sigma3 = line % n3
-        d3 = self._sets3[sigma3]
-        # Exact occupancy: allocator lines plus resident ring positions of
-        # this set — [0, hwm) minus absent, plus any cold lines earlier in
-        # the current burst (hwm is only advanced once the burst is logged).
-        r3 = (sigma3 - _RING_BASE_LINE) % n3
-        hwm = self._hwm if self._hwm > p else p
-        candidates = []
-        for q in range(r3, hwm, n3):
-            if q == p or q in self._absent:
-                continue
-            candidates.append((self._ring_stamp(_RING_BASE_LINE + q), q))
-        if len(d3) + len(candidates) >= self._a3:
-            # Victim: globally least-recent among allocator and ring lines.
-            v_line, v_stamp = None, None
-            for cand, s in d3.items():
-                if v_stamp is None or s < v_stamp:
-                    v_line, v_stamp = cand, s
-            for s, q in candidates:
-                if v_stamp is None or s < v_stamp:
-                    v_line, v_stamp = _RING_BASE_LINE + q, s
-            if v_line is not None:
-                if v_line in d3:
-                    del d3[v_line]
-                    if len(d3) < self._risk_len:
-                        self._risk3.pop(sigma3, None)
-                else:
-                    self._absent[v_line - _RING_BASE_LINE] = None
-                # Back-invalidate, exactly ordered: materialize the (shared,
-                # by set nesting) inner sets to just before this fill.
-                s1, s2 = line % self._n1, line % self._n2
-                self._merge_l1(s1, stamp - 1)
-                self._merge_l2(s2, stamp - 1)
-                ways = self._sets2[s2]
-                if v_line in ways:
-                    del ways[v_line]
-                ways = self._sets1[s1]
-                if v_line in ways:
-                    del ways[v_line]
+            ways1[line] = c
+        if new_seg:
+            self._prune_segs()
+        return latency
 
     # ----------------------------------------------------------- public API
     def touch_lines(self, base: int, num_lines: int, stride: int = 64) -> None:
         if not self._lazy:
             super().touch_lines(base, num_lines, stride)
             return
-        if num_lines <= 0:
+        p = (base >> 6) - _RING_BASE_LINE
+        if stride == 64 and not base % 64 and 0 <= p and p + num_lines <= _MAX_POS:
+            if num_lines > 0:
+                self._touch(p, num_lines)
             return
-        ring_lo = RING_BASE
-        ring_hi = RING_BASE + _MAX_POS * 64
-        if stride != 64 or base % 64:
-            span_end = base + (num_lines - 1) * stride
-            if base >= ring_hi or span_end < ring_lo:
-                access = self._lazy_access
-                for i in range(num_lines):
-                    access(base + i * stride)
-            else:
-                self._degrade()
-                super().touch_lines(base, num_lines, stride)
-            return
-        first = base >> 6
-        if base >= ring_hi or base + num_lines * 64 <= ring_lo:
-            access = self._lazy_access
-            for line in range(first, first + num_lines):
-                access(line << 6)
-            return
-        p0 = first - _RING_BASE_LINE
-        if p0 == self._cursor and base >= ring_lo and p0 + num_lines <= _MAX_POS:
-            self._ring_burst(first, num_lines, True)
-            self._cursor = (p0 + num_lines) % RING_LINES
-            return
-        self._degrade()
-        super().touch_lines(base, num_lines, stride)
+        for i in range(num_lines):
+            self._lazy_access(base + i * stride)
 
     def touch_line_window(self, ranges: list[tuple[int, int]]) -> None:
         if not self._lazy:
             super().touch_line_window(ranges)
             return
-        total = 0
-        pos = None
-        ok = True
-        for rbase, rn in ranges:
-            if not rn:
-                continue
-            if rbase % 64 or rbase < RING_BASE:
-                ok = False
-                break
-            rp = (rbase >> 6) - _RING_BASE_LINE
-            if rp + rn > _MAX_POS or (pos is not None and rp != pos % RING_LINES):
-                ok = False
-                break
-            if pos is None and rp > self._hwm:
-                ok = False  # gap below the window: interval L3 can't express
-                break
-            pos = rp + rn
-            total += rn
-        if not ok:
+        pieces = [((rbase >> 6) - _RING_BASE_LINE, rn) for rbase, rn in ranges if rn]
+        total = sum(n for _, n in pieces)
+        if (
+            total > RING_LINES
+            or any(rbase % 64 for rbase, rn in ranges if rn)
+            or not all(0 <= p and p + n <= _MAX_POS for p, n in pieces)
+            or any(p != (q + m) % RING_LINES for (q, m), (p, _) in zip(pieces, pieces[1:]))
+        ):
+            # Not one pass over distinct ring lines: the eager walk decides.
             self._degrade()
             super().touch_line_window(ranges)
             return
-        inner = self._a2 * self._n2
-        head_left = total - inner
-        for rbase, rn in ranges:
-            if not rn:
-                continue
-            first = rbase >> 6
-            k = 0
-            if head_left > 0:
-                k = rn if rn <= head_left else head_left
-                head_left -= k
-                self._ring_burst(first, k, False)
-            if rn - k:
-                self._ring_burst(first + k, rn - k, True)
-        if pos is not None:
-            self._cursor = pos % RING_LINES
+        head = total - self._a2 * self._n2
+        for p, n in pieces:
+            k = min(n, head) if head > 0 else 0
+            if k:
+                head -= k
+                self._burst(p, k, False)  # L3 only
+                self._safe_from = self._clock + RING_LINES
+                self._cursor = (p + k) % RING_LINES
+            if n - k:
+                self._touch(p + k, n - k)
 
     def access(self, addr: int, write: bool = False) -> int:
         if self._lazy:
@@ -696,111 +735,68 @@ class LazyRingHierarchy(CacheHierarchy):
 
     def _lazy_access(self, addr: int) -> int:
         line = addr >> 6
-        if RING_BASE <= addr < RING_BASE + _MAX_POS * 64:
-            # Out-of-band access into the ring window: the interval
-            # representation of L3 residency cannot express it.
-            self._degrade()
-            return self.demand_access(addr)
+        if RING_BASE <= addr < _RING_END:
+            return self._walk(line - _RING_BASE_LINE)
+        T = self._clock
         s1 = line % self._n1
-        pending = self._pending
-        if pending:
-            burst_G = self._burst_G
-            if self._M1[s1] < burst_G:
-                self._merge_l1(s1)
+        if self._N1[s1] < T:
+            self._sync1(s1, T)
         ways1 = self._sets1[s1]
-        stamp = self._G + 1
-        self._G = stamp
-        hit1 = line in ways1
-        if hit1 and pending:
-            s2 = line % self._n2
-            if self._M2[s2] < burst_G and not self._l2_survives(line, s2):
-                # Inclusion guard: pending L2 churn may have evicted this
-                # line's L2 copy, whose back-invalidation must land before
-                # the hit is honored.
-                self._merge_l2(s2)
-                hit1 = line in ways1
-        if hit1:
+        if line in ways1:
             self.l1.hits += 1
             del ways1[line]
-            ways1[line] = stamp
+            ways1[line] = ~T  # hot: refreshed in L1 only
             return self._lat1
         self.l1.misses += 1
         s2 = line % self._n2
-        if pending and self._M2[s2] < burst_G:
-            self._merge_l2(s2)
+        if self._N2[s2] < T:
+            self._sync2(s2, T)
         ways2 = self._sets2[s2]
         if line in ways2:
             self.l2.hits += 1
             del ways2[line]
-            ways2[line] = stamp
-            if len(ways1) >= self._a1:
-                for v1 in ways1:
-                    break
-                del ways1[v1]
-            ways1[line] = stamp
-            return self._lat2
-        self.l2.misses += 1
-        d3 = self._sets3[line % self._n3]
-        if line in d3:
-            self.l3.hits += 1
-            del d3[line]
-            d3[line] = stamp
-            latency = self._lat3
+            latency = self._lat2
         else:
-            self.l3.misses += 1
-            self.dram_accesses += 1
-            self._alloc_l3_insert(line, stamp, d3)
-            latency = self._lat_dram
-        if len(ways2) >= self._a2:
-            for v2 in ways2:
-                break
-            del ways2[v2]
-            vset = self._sets1[v2 % self._n1]
-            if v2 in vset:
-                del vset[v2]
-        ways2[line] = stamp
-        if len(ways1) >= self._a1:
+            self.l2.misses += 1
+            s3 = line % self._n3
+            d3 = self._sets3[s3]
+            if line in d3:
+                self.l3.hits += 1
+                del d3[line]
+                latency = self._lat3
+            else:
+                self.l3.misses += 1
+                self.dram_accesses += 1
+                if len(d3) >= self._risk_len:
+                    self._l3_room(s3, d3, T, -1)
+                    self._risk3[s3] = None
+                elif len(d3) + 1 == self._risk_len:
+                    self._risk3[s3] = None
+                latency = self._lat_dram
+            d3[line] = T
+            R2 = self._R2[s2]
+            if R2:
+                if len(ways2) + R2 >= self._a2:
+                    v2 = self._pop_oldest(self._lvl2, s2)
+                    if v2 is not None and v2 in ways1:
+                        del ways1[v2]
+            elif len(ways2) >= self._a2:
+                for v2 in ways2:
+                    break
+                del ways2[v2]
+                if v2 in ways1:
+                    del ways1[v2]
+        ways2[line] = T
+        R1 = self._R1[s1]
+        if R1:
+            if len(ways1) + R1 >= self._a1:
+                self._pop_oldest(self._lvl1, s1)
+        elif len(ways1) >= self._a1:
             for v1 in ways1:
                 break
             del ways1[v1]
-        ways1[line] = stamp
+        ways1[line] = T
         return latency
-
-    def _alloc_l3_insert(self, line: int, stamp: int, d3: dict[int, int]) -> None:
-        """DRAM-missing allocator fill of L3, with exact victim choice over
-        the hybrid (dict + ring interval) set representation."""
-        n3 = self._n3
-        sigma3 = line % n3
-        r3 = (sigma3 - _RING_BASE_LINE) % n3
-        candidates = []
-        for q in range(r3, self._hwm, n3):
-            if q not in self._absent:
-                candidates.append(q)
-        if len(d3) + len(candidates) >= self._a3:
-            v_line, v_stamp = None, None
-            for cand, s in d3.items():
-                if v_stamp is None or s < v_stamp:
-                    v_line, v_stamp = cand, s
-            for q in candidates:
-                s = self._ring_stamp(_RING_BASE_LINE + q)
-                if v_stamp is None or s < v_stamp:
-                    v_line, v_stamp = _RING_BASE_LINE + q, s
-            if v_line is not None:
-                if v_line in d3:
-                    del d3[v_line]
-                else:
-                    self._absent[v_line - _RING_BASE_LINE] = None
-                # By set nesting the victim lives in the very L1/L2 sets the
-                # current walk just materialized: eager, ordered removal.
-                vset = self._sets2[v_line % self._n2]
-                if v_line in vset:
-                    del vset[v_line]
-                vset = self._sets1[v_line % self._n1]
-                if v_line in vset:
-                    del vset[v_line]
-        d3[line] = stamp
-        if len(d3) >= self._risk_len:
-            self._risk3[sigma3] = None
 
     def prefetch(self, addr: int) -> int:
         if self._lazy:
@@ -811,49 +807,48 @@ class LazyRingHierarchy(CacheHierarchy):
         if not self._lazy:
             return super().probe_latency(addr)
         line = addr >> 6
-        s1 = line % self._n1
-        s2 = line % self._n2
-        # Non-mutating for observable state: materialization only replays
-        # history the reference hierarchy would already have applied.
-        self._merge_l1(s1)
-        self._merge_l2(s2)
+        T = self._clock
+        s1, s2 = line % self._n1, line % self._n2
+        ring = RING_BASE <= addr < _RING_END
+        self._catch_up(s1, s2, T, ring)
         if line in self._sets1[s1]:
-            return self.config.l1.latency
+            return self._lat1
         if line in self._sets2[s2]:
-            return self.config.l2.latency
-        if RING_BASE <= addr < RING_BASE + _MAX_POS * 64:
-            p = line - _RING_BASE_LINE
-            if p < self._hwm and p not in self._absent:
-                return self.config.l3.latency
-            return self.config.dram_latency
-        if line in self._sets3[line % self._n3]:
-            return self.config.l3.latency
-        return self.config.dram_latency
+            return self._lat2
+        if ring:
+            resident = self._res[line - _RING_BASE_LINE]
+        else:
+            resident = line in self._sets3[line % self._n3]
+        return self._lat3 if resident else self._lat_dram
 
     def antagonize(self) -> int:
         if not self._lazy:
             return super().antagonize()
-        self._materialize_inner()
-        return self.l1.evict_less_used_half() + self.l2.evict_less_used_half()
+        self._sync_all()
+        if not any(self._R1) and not any(self._R2):
+            return super().antagonize()
+        evicted = 0
+        for lvl in (self._lvl1, self._lvl2):
+            sets, n, _, _, Rs = lvl
+            for s in range(n):
+                size = len(sets[s]) + Rs[s]
+                if size > 1:
+                    self._add(lvl, s, 0, 0, False, size - size // 2)
+                    evicted += size // 2
+        return evicted
 
     @property
     def levels(self):
-        # Handing out the raw level objects exposes ``_sets`` contents
-        # (differential state snapshots, flushes), which the lazy
-        # representation keeps partially pending.  Materialize exactly first;
-        # counters and latencies are unaffected.
+        # The raw level objects expose ``_sets``, which hold only explicit
+        # entries here: materialize exactly first.
         if self._lazy:
             self._degrade()
         return (self.l1, self.l2, self.l3)
 
     def flush_all(self) -> None:
         if self._lazy:
-            # A flush empties everything, so there is nothing worth keeping
-            # lazy state for — and the interval L3 representation cannot
-            # express "touched but flushed".  Degrade to eager.
-            self._lazy = False
-            self._log_first = self._log_n = self._log_G = self._log_inner = []  # type: ignore[assignment]
-            self._cin_lines = [0]
-            self._cin_cnt = [0]
-            self._refresh_fast_path()
+            for level in (self.l1, self.l2, self.l3):
+                level.flush()
+            self._reset()
+            return
         super().flush_all()
