@@ -21,7 +21,7 @@ LOGGER = WORKERS  # thread id of the log-flushing consumer
 REQUESTS = 1500
 
 
-def serve(accelerated: bool) -> tuple[int, MultiThreadAllocator]:
+def serve(accelerated: bool) -> tuple[int, MultiThreadAllocator, list[list[int]]]:
     mt = MultiThreadAllocator(
         WORKERS + 1,
         config=AllocatorConfig(release_rate=0),
@@ -31,6 +31,7 @@ def serve(accelerated: bool) -> tuple[int, MultiThreadAllocator]:
     rng = random.Random(42)
     log_queue: list[tuple[int, int]] = []
     total_cycles = 0
+    ops = [[0, 0] for _ in range(WORKERS + 1)]  # per thread: mallocs, frees
     for _ in range(REQUESTS):
         worker = rng.randrange(WORKERS)
         # Parse buffer + two response strings per request.
@@ -40,20 +41,23 @@ def serve(accelerated: bool) -> tuple[int, MultiThreadAllocator]:
             ptr, rec = mt.malloc(worker, size)
             total_cycles += rec.cycles
             ptrs.append((ptr, size))
+        ops[worker][0] += len(sizes)
         # Response strings die with the request, on the worker.
         for ptr, size in ptrs[1:]:
             total_cycles += mt.sized_free(worker, ptr, size).cycles
+        ops[worker][1] += len(ptrs) - 1
         # The parse buffer goes to the logger, which frees it later.
         log_queue.append(ptrs[0])
         if len(log_queue) > 32:
             ptr, size = log_queue.pop(0)
             total_cycles += mt.sized_free(LOGGER, ptr, size).cycles
-    return total_cycles, mt
+            ops[LOGGER][1] += 1
+    return total_cycles, mt, ops
 
 
 def main():
-    base_cycles, base = serve(accelerated=False)
-    accel_cycles, accel = serve(accelerated=True)
+    base_cycles, base, base_ops = serve(accelerated=False)
+    accel_cycles, accel, _ = serve(accelerated=True)
 
     print(f"{REQUESTS} requests, {WORKERS} workers + 1 logger thread\n")
     print(f"allocator cycles: baseline {base_cycles:,} -> Mallacc {accel_cycles:,} "
@@ -67,7 +71,7 @@ def main():
           f"(each flushed every core's malloc cache)")
 
     per_thread = ", ".join(
-        f"t{t}: {s.mallocs}m/{s.frees}f" for t, s in enumerate(base.stats)
+        f"t{t}: {mallocs}m/{frees}f" for t, (mallocs, frees) in enumerate(base_ops)
     )
     print(f"per-thread ops: {per_thread}")
 

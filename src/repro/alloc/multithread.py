@@ -28,8 +28,6 @@ in-core state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.alloc.allocator import CallRecord, SharedPools, TCMalloc
 from repro.alloc.constants import AllocatorConfig
 from repro.alloc.context import Machine
@@ -45,24 +43,6 @@ class _ThreadView(MallaccFastPathMixin, TCMalloc):
     def __init__(self, machine, config, shared, cache_config) -> None:
         TCMalloc.__init__(self, machine=machine, config=config, shared=shared)
         self._attach_mallacc(cache_config)
-
-
-@dataclass
-class ThreadStats:
-    """Measured per-thread call counts; warmup traffic is kept separate so
-    ``cycles`` stays a sum over *measured* calls only (parity with
-    :class:`~repro.harness.runner.RunResult`)."""
-
-    mallocs: int = 0
-    frees: int = 0
-    cycles: int = 0
-    warmup_mallocs: int = 0
-    warmup_frees: int = 0
-    warmup_cycles: int = 0
-
-    @property
-    def warmup_calls(self) -> int:
-        return self.warmup_mallocs + self.warmup_frees
 
 
 class MultiThreadAllocator:
@@ -124,7 +104,6 @@ class MultiThreadAllocator:
 
         self.owner: dict[int, int] = {}
         """ptr -> allocating thread (diagnostics only; frees go anywhere)."""
-        self.stats = [ThreadStats() for _ in range(num_threads)]
         self.running_tid = 0
         self.context_switches = 0
 
@@ -171,30 +150,23 @@ class MultiThreadAllocator:
         for m in self.core_machines:
             m.clock = now
 
-    def malloc(self, tid: int, size: int, warmup: bool = False) -> tuple[int, CallRecord]:
+    def malloc(self, tid: int, size: int) -> tuple[int, CallRecord]:
         self._check_tid(tid)
         self._schedule(tid)
         ptr, record = self.threads[tid].malloc(size)
         self._sync_clocks()
         self.owner[ptr] = tid
-        stats = self.stats[tid]
-        if warmup:
-            stats.warmup_mallocs += 1
-            stats.warmup_cycles += record.cycles
-        else:
-            stats.mallocs += 1
-            stats.cycles += record.cycles
         return ptr, record
 
-    def free(self, tid: int, ptr: int, warmup: bool = False) -> CallRecord:
+    def free(self, tid: int, ptr: int) -> CallRecord:
         """Free from any thread: the object joins ``tid``'s cache (TCMalloc's
         cross-thread semantics)."""
-        return self._free(tid, ptr, sized=None, warmup=warmup)
+        return self._free(tid, ptr, sized=None)
 
-    def sized_free(self, tid: int, ptr: int, size: int, warmup: bool = False) -> CallRecord:
-        return self._free(tid, ptr, sized=size, warmup=warmup)
+    def sized_free(self, tid: int, ptr: int, size: int) -> CallRecord:
+        return self._free(tid, ptr, sized=size)
 
-    def _free(self, tid: int, ptr: int, sized: int | None, warmup: bool = False) -> CallRecord:
+    def _free(self, tid: int, ptr: int, sized: int | None) -> CallRecord:
         self._check_tid(tid)
         self._schedule(tid)
         owner_tid = self.owner.pop(ptr, None)
@@ -207,13 +179,6 @@ class MultiThreadAllocator:
         freer.live[ptr] = entry
         record = freer.sized_free(ptr, sized) if sized is not None else freer.free(ptr)
         self._sync_clocks()
-        stats = self.stats[tid]
-        if warmup:
-            stats.warmup_frees += 1
-            stats.warmup_cycles += record.cycles
-        else:
-            stats.frees += 1
-            stats.cycles += record.cycles
         return record
 
     def antagonize(self) -> int:

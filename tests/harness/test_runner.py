@@ -311,17 +311,6 @@ class TestMultithreadRunnerParity:
         )
         assert result.per_thread_cycles[0] == measured_t0
 
-    def test_allocator_stats_separate_warmup(self):
-        """MultiThreadAllocator.stats[tid] must not mix warmup cycles into
-        the measured totals (parity with RunResult's partition)."""
-        mt = MultiThreadAllocator(2)
-        result = run_multithreaded(mt, self._warmup_stream())
-        assert mt.stats[0].warmup_calls == 2
-        assert mt.stats[0].warmup_cycles == result.warmup_cycles
-        assert mt.stats[0].cycles + mt.stats[1].cycles == result.allocator_cycles
-        assert mt.stats[0].cycles == result.per_thread_cycles[0]
-        assert mt.stats[1].warmup_calls == 0
-
     @pytest.mark.parametrize("coherent", [False, True], ids=["flat", "coherent"])
     def test_gap_advances_the_issuing_core(self, coherent):
         """A gap is application time on the issuing thread's core, so the

@@ -402,22 +402,26 @@ class TestRefillTwins:
                 rng = random.Random(3)
                 mt = MultiThreadAllocator(num_threads=4, accelerated=True)
                 live = []
+                per_thread = [[0, 0, 0] for _ in range(4)]  # mallocs, frees, cycles
                 for _ in range(2000):
                     tid = rng.randrange(4)
                     if rng.random() < 0.6 or not live:
                         size = rng.choice([24, 64, 128, 512, 2048, 16384])
-                        ptr, _rec = mt.malloc(tid, size)
+                        ptr, rec = mt.malloc(tid, size)
                         live.append((ptr, size))
+                        per_thread[tid][0] += 1
                     else:
                         ptr, size = live.pop(rng.randrange(len(live)))
                         if rng.random() < 0.5:
-                            mt.sized_free(tid, ptr, size)
+                            rec = mt.sized_free(tid, ptr, size)
                         else:
-                            mt.free(tid, ptr)
+                            rec = mt.free(tid, ptr)
+                        per_thread[tid][1] += 1
+                    per_thread[tid][2] += rec.cycles
                 cs = mt.shared.central_lists
                 outs.append({
                     "clock": mt.machine.clock,
-                    "per_thread": [(s.mallocs, s.frees, s.cycles) for s in mt.stats],
+                    "per_thread": per_thread,
                     "central": [
                         (
                             c.stats.remove_calls, c.stats.insert_calls,
@@ -473,9 +477,8 @@ class TestThreadViewTwins:
                 "cycles": [r.cycles for r in result.records],
                 "paths": [r.path.value for r in result.records],
                 "clocks": [m.clock for m in mt.core_machines],
-                "per_thread": [
-                    (s.mallocs, s.frees, s.cycles, s.warmup_cycles) for s in mt.stats
-                ],
+                "per_thread": sorted(result.per_thread_cycles.items()),
+                "warmup": (result.warmup_calls, result.warmup_cycles),
                 "directory": asdict(mt.coherence_stats()),
                 "contention": result.contention_cycles,
                 "context_switches": mt.context_switches,

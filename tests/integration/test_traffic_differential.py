@@ -4,9 +4,10 @@ At 1 core, constant arrivals, and stream sessions (back-to-back chunks of
 one continuous op stream), the scheduler collapses to sequential replay —
 so every cycle the engine reports must be *bit-identical* to
 :func:`repro.harness.runner.run_workload` on the same ops with the same
-allocator.  This pins the refactor: ``dispatch_call`` and the traffic
-scheduler execute the one true timing path, not a parallel reimplementation
-that could drift.
+allocator.  The engine and the runner take the same replay step
+(:class:`repro.harness.runner.Replay`), so this pins the scheduler around
+it: one true timing path, not a parallel reimplementation that could
+drift.
 
 On four cores the columnar engine must match the reference engine call
 for call and request for request, with every fast-path call of both

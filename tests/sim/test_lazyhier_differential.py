@@ -87,7 +87,7 @@ class Pair:
     def __init__(self, config=None):
         self.ref = CacheHierarchy(config)
         self.lazy = LazyRingHierarchy(config)
-        self.offset = 0  # ring byte cursor, as AppTraffic keeps it
+        self.offset = 0  # ring byte cursor, as the runner's Replay keeps it
         self.op = 0
 
     def _check(self, what):
