@@ -73,6 +73,8 @@ class DebugAllocator(TCMalloc):
         em.store_word(base, CANARY, tag=Tag.METADATA)
         tail = self._tail_addr(base, user_size)
         em.store_word(tail, CANARY, tag=Tag.METADATA)
+        if em.functional:
+            return  # sampled warm/skip mode: the stores ran, nothing is priced
         result = self.machine.timing.run(em.build())
         record.cycles += result.cycles
         self.machine.advance(result.cycles)
@@ -108,8 +110,9 @@ class DebugAllocator(TCMalloc):
         em = self.machine.new_emitter()
         head, _ = em.load_word(base, tag=Tag.METADATA)
         tail, _ = em.load_word(self._tail_addr(base, user_size), tag=Tag.METADATA)
-        result = self.machine.timing.run(em.build())
-        self.machine.advance(result.cycles)
+        if not em.functional:
+            result = self.machine.timing.run(em.build())
+            self.machine.advance(result.cycles)
         if head != CANARY or tail != CANARY:
             self.corruptions_detected += 1
             which = "leading" if head != CANARY else "trailing"
@@ -117,6 +120,18 @@ class DebugAllocator(TCMalloc):
                 f"{which} canary of block {user_ptr:#x} ({user_size} bytes) "
                 f"was overwritten"
             )
+
+    # -- sampled-mode extensions ----------------------------------------------
+    def fast_forward_malloc(self, size: int) -> None:
+        """Declined: the flat fast-forward would hand out a bare block with
+        no canaries.  Skip mode runs :meth:`malloc` under the functional
+        emitter instead."""
+        return None
+
+    def fast_forward_free(self, user_ptr: int, sized_hint: int | None = None) -> None:
+        """Declined, so skip mode frees through :meth:`free` and still
+        checks the canaries."""
+        return None
 
     # -- forensics ------------------------------------------------------------
     def leak_report(self) -> list[LeakRecord]:

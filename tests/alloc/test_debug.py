@@ -101,3 +101,79 @@ class TestForensics:
             dbg.free(p)
         assert dbg.leak_report() == []
         assert dbg.leaked_bytes() == 0
+
+
+class TestSampledReplay:
+    """Sampled warm and skip modes run the canaried calls under the
+    functional emitters: the canary words are still written and checked,
+    nothing is built or priced."""
+
+    @pytest.mark.parametrize("name", ["gauss_free", "400.perlbench"])
+    def test_exact_mode_matches_run_workload(self, name):
+        from repro.harness.runner import run_workload, run_workload_sampled
+        from repro.sim.sampling import SamplingConfig
+        from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS
+
+        ops = list({**MICROBENCHMARKS, **MACRO_WORKLOADS}[name].ops(seed=3, num_ops=1200))
+        exact = run_workload(DebugAllocator(), ops)
+        sampled = run_workload_sampled(
+            DebugAllocator, ops,
+            config=SamplingConfig(interval_ops=100, stride=1, cache_warming="always"),
+        )
+        assert [(r.cycles, r.path) for r in sampled.records] == [
+            (r.cycles, r.path) for r in exact.records
+        ]
+        assert sampled.app_cycles == exact.app_cycles
+
+    def _ops(self, num_ops=1600):
+        from repro.workloads import MACRO_WORKLOADS
+
+        return list(MACRO_WORKLOADS["400.perlbench"].ops(seed=3, num_ops=num_ops))
+
+    def test_skip_mode_completes_and_checks_every_free(self):
+        from repro.harness.runner import run_workload_sampled
+        from repro.sim.sampling import SamplingConfig
+        from repro.workloads import OpKind
+
+        built = []
+
+        def factory():
+            built.append(DebugAllocator())
+            return built[-1]
+
+        ops = self._ops()
+        result = run_workload_sampled(
+            factory, ops, config=SamplingConfig(interval_ops=100, stride=4, warmup_ops=40)
+        )
+        assert result.detailed_calls and result.warming_calls
+        (dbg,) = built
+        frees = sum(1 for op in ops if op.kind in (OpKind.FREE, OpKind.FREE_SIZED))
+        assert dbg.frees_checked == frees
+        assert dbg.corruptions_detected == 0
+
+    def test_clobbered_canary_detected_in_skip_mode(self):
+        from repro.harness.runner import run_workload_sampled
+        from repro.sim.sampling import SamplingConfig
+
+        clobbered = []
+
+        class Overflowing(DebugAllocator):
+            """Overruns the first block it hands out during a skip stretch
+            by one word, as an application bug would."""
+
+            def malloc(self, size):
+                ptr, record = super().malloc(size)
+                if self.machine.warming == "skip" and not clobbered:
+                    self.machine.memory.write_word(ptr + ((size + 7) & ~7), 0)
+                    clobbered.append(ptr)
+                return ptr, record
+
+        from repro.workloads import tp_small
+
+        ops = list(tp_small.ops(seed=3, num_ops=1600))
+        with pytest.raises(HeapCorruptionError, match="trailing"):
+            run_workload_sampled(
+                Overflowing, ops,
+                config=SamplingConfig(interval_ops=100, stride=4, warmup_ops=40),
+            )
+        assert clobbered
