@@ -52,7 +52,7 @@ class TestProfilerCore:
         assert prof.summary()["layers"] == {}
         assert prof.coverage() == pytest.approx(1.0)
 
-    def test_summary_residual_clamped_nonnegative(self):
+    def test_summary_residual_clamped_nonnegative(self, cold_memos):
         """Calibration removes only the wrappers' own cost: on a real replay
         every reached layer, and the scope's own time, stays positive."""
         with LayerProfile() as prof:

@@ -154,7 +154,7 @@ class TestCoverage:
         (MICROBENCHMARKS["tp_small"], 400),
         (MACRO_WORKLOADS["483.xalancbmk"], 300),
     ])
-    def test_coverage_within_five_percent(self, workload, num_ops):
+    def test_coverage_within_five_percent(self, workload, num_ops, cold_memos):
         ops = list(workload.ops(seed=1, num_ops=num_ops))
         with LayerProfile() as prof:
             run_workload(make_baseline(), ops, name=workload.name)
