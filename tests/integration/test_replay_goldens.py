@@ -4,8 +4,8 @@
 file pins the rest of the replay surface: multithreaded replay (flat and
 coherent), the antagonist micro, request-sampled and stream-mode traffic,
 the traffic capacity probe, the phase sampler and ``target_ci`` escalation,
-and the zoo types that have no fused twins (``DebugAllocator`` sampled
-included).
+the zoo types that have no fused twins (``DebugAllocator`` sampled
+included), the ``repro tune`` search and the Fig. 17 cache-size sweep.
 
 Each case replays a small deterministic stream and reduces the result to
 its *simulated* observables: per-call cycles and paths, application and
@@ -41,6 +41,8 @@ from repro.harness.runner import (
     run_workload,
     run_workload_sampled,
 )
+from repro.harness.sweeps import sweep_cache_sizes
+from repro.harness.tuning import tune, tuning_to_json
 from repro.sim.sampling import SamplingConfig
 from repro.traffic.engine import TrafficConfig, estimate_capacity_rps, run_traffic
 from repro.workloads import (
@@ -48,6 +50,7 @@ from repro.workloads import (
     antagonist,
     balanced_churn,
     producer_consumer,
+    tp_small,
 )
 
 GOLDENS_PATH = Path(__file__).with_name("replay_goldens.json")
@@ -183,6 +186,26 @@ def _capacity_case() -> dict:
     return {"capacity_rps": estimate_capacity_rps(_traffic_config(4))}
 
 
+def _tune_case() -> dict:
+    result = tune(
+        "tp_small", ("tcmalloc", "jemalloc"), num_ops=400, seed=7,
+        random_points=2, descent_rounds=1, interval_ops=100, stride=8,
+    )
+    return json.loads(tuning_to_json(result))
+
+
+def _sweep_case() -> dict:
+    out = {}
+    for workload in (tp_small, MACRO_WORKLOADS["400.perlbench"]):
+        sweep = sweep_cache_sizes(workload, sizes=(4, 16), num_ops=300, seed=SEED)
+        out[workload.name] = {
+            "malloc_speedups": sweep.malloc_speedups,
+            "allocator_speedups": sweep.allocator_speedups,
+            "limit_speedup": sweep.limit_speedup,
+        }
+    return out
+
+
 def _mallacc_jemalloc():
     return experiments.make_mallacc(allocator="jemalloc")
 
@@ -239,6 +262,8 @@ CASES = {
     "buddy-sampled": _sampled_case(TimedBuddy, _omnetpp_ops),
     "debug-exact": _exact_case(_debug_allocator, _omnetpp_ops),
     "debug-sampled": _sampled_case(_debug_allocator, _omnetpp_ops),
+    "tune": _tune_case,
+    "sweep-cache-sizes": _sweep_case,
 }
 
 
