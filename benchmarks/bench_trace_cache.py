@@ -7,9 +7,10 @@ Measures two things on the tab02 workload set and writes both to
   captured trace population (every trace the trimmed tab02 replay sends to
   ``TimingModel.run``, across two trial seeds, baseline and Mallacc) with
   memoization on vs off.  This isolates the tentpole: the scheduler itself.
-* **end-to-end** — ``compare_workload`` wall-clock with memoization on vs
-  off (application cache-traffic modeling disabled so the simulator core,
-  not the app-traffic stream, is what's timed).
+* **end-to-end** — wall-clock of the baseline and Mallacc replays
+  ``compare_workload`` runs, on machines with memoization on vs off
+  (application cache-traffic modeling disabled so the simulator core, not
+  the app-traffic stream, is what's timed).
 
 Both configurations produce bit-identical cycle counts — asserted here and,
 exhaustively, by ``tests/integration/test_trace_cache_differential.py``.
@@ -30,9 +31,14 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
-from repro.harness.experiments import compare_workload, make_baseline, make_mallacc
+from repro.alloc.allocator import TCMalloc
+from repro.alloc.context import Machine
+from repro.core.accel_allocator import MallaccTCMalloc
+from repro.core.malloc_cache import MallocCacheConfig
+from repro.harness.experiments import LIMIT_ABLATION
 from repro.harness.runner import run_workload
 from repro.sim.timing import CoreConfig, TimingModel
+from repro.sim.uop import LIMIT_STUDY_TAGS
 from repro.workloads import MACRO_WORKLOADS
 
 #: Trimmed tab02: four of the eight macro workloads, two trial seeds
@@ -44,6 +50,21 @@ TRIM_SEEDS = (100, 117, 134, 151)  # tab02's four trial seeds (base_seed + 17*t)
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_trace_cache.json"
 
 
+def _allocators(memoize: bool):
+    """The baseline (limit-study ablation on) and 32-entry Mallacc pair
+    ``compare_workload`` builds, on machines that memoize or not."""
+
+    def machine():
+        if memoize:
+            return Machine()
+        return Machine(timing=TimingModel(CoreConfig(trace_cache_entries=0)))
+
+    return (
+        TCMalloc(machine=machine(), ablations={LIMIT_ABLATION: LIMIT_STUDY_TAGS}),
+        MallaccTCMalloc(machine=machine(), cache_config=MallocCacheConfig(num_entries=32)),
+    )
+
+
 def _capture_traces():
     """Every trace the trimmed replay schedules, in submission order."""
     traces = []
@@ -51,10 +72,7 @@ def _capture_traces():
         workload = MACRO_WORKLOADS[name]
         for seed in TRIM_SEEDS:
             ops = list(workload.ops(seed=seed, num_ops=TRIM_OPS))
-            for alloc in (
-                make_baseline(memoize_traces=False),
-                make_mallacc(memoize_traces=False),
-            ):
+            for alloc in _allocators(memoize=False):
                 original = alloc.machine.timing.run
 
                 def spy(trace, _original=original):
@@ -116,16 +134,13 @@ def _time_end_to_end():
     def replay(memoize):
         with _gc_paused():
             t0 = time.perf_counter()
-            results = {
-                name: compare_workload(
-                    MACRO_WORKLOADS[name],
-                    num_ops=TRIM_OPS,
-                    seed=TRIM_SEEDS[0],
-                    model_app_traffic=False,
-                    memoize_traces=memoize,
-                )
-                for name in TRIM_WORKLOADS
-            }
+            results = {}
+            for name in TRIM_WORKLOADS:
+                ops = list(MACRO_WORKLOADS[name].ops(seed=TRIM_SEEDS[0], num_ops=TRIM_OPS))
+                results[name] = [
+                    run_workload(alloc, ops, name=name, model_app_traffic=False)
+                    for alloc in _allocators(memoize)
+                ]
             return time.perf_counter() - t0, results
 
     seconds_off, off = replay(False)
@@ -135,18 +150,14 @@ def _time_end_to_end():
     seconds_on = min(seconds_on, replay(True)[0])
 
     identical = all(
-        [r.cycles for r in off[name].baseline.records]
-        == [r.cycles for r in on[name].baseline.records]
-        and [r.cycles for r in off[name].mallacc.records]
-        == [r.cycles for r in on[name].mallacc.records]
-        and [r.ablated for r in off[name].baseline.records]
-        == [r.ablated for r in on[name].baseline.records]
+        [(r.cycles, r.ablated) for r in a.records]
+        == [(r.cycles, r.ablated) for r in b.records]
         for name in TRIM_WORKLOADS
+        for a, b in zip(off[name], on[name])
     )
-    hits = sum(c.baseline.trace_cache_hits + c.mallacc.trace_cache_hits for c in on.values())
-    lookups = sum(
-        c.baseline.trace_cache_lookups + c.mallacc.trace_cache_lookups for c in on.values()
-    )
+    runs = [run for pair in on.values() for run in pair]
+    hits = sum(run.trace_cache_hits for run in runs)
+    lookups = sum(run.trace_cache_lookups for run in runs)
     return {
         "seconds_unmemoized": round(seconds_off, 4),
         "seconds_memoized": round(seconds_on, 4),
@@ -171,9 +182,10 @@ def main() -> dict:
         "end_to_end": end_to_end,
         "notes": (
             "trace_replay times TimingModel.run over the captured tab02 trace "
-            "population (the tentpole's target); end_to_end times full "
-            "compare_workload replays with app-traffic modeling off.  Cycle "
-            "counts are bit-identical in every configuration."
+            "population (the scheduler alone); end_to_end times the "
+            "baseline and Mallacc replays of compare_workload with app-traffic "
+            "modeling off.  Cycle counts are bit-identical in every "
+            "configuration."
         ),
     }
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")

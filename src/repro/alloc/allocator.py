@@ -109,13 +109,10 @@ class TCMalloc:
         config: AllocatorConfig | None = None,
         ablations: dict[str, frozenset[Tag]] | None = None,
         shared: "SharedPools | None" = None,
-        memoize_traces: bool | None = None,
-        intern_traces: bool | None = None,
     ) -> None:
         self.machine = machine or Machine()
         self.config = config or AllocatorConfig()
         self.ablations = dict(ablations or {})
-        self.machine.apply_memo_overrides(memoize_traces, intern_traces)
         if shared is not None:
             # Multithreaded mode: this instance is one thread's view over
             # pools owned by a MultiThreadAllocator.

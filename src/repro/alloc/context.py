@@ -11,22 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.sim.arena import ArenaMemory
+from repro.sim.arena import default_memory
 from repro.sim.branch import BranchPredictor
 from repro.sim.engine import is_columnar
 from repro.sim.hierarchy import CacheHierarchy
 from repro.sim.lazyhier import LazyRingHierarchy
 from repro.sim.memory import SimulatedMemory, VirtualAddressSpace
-from repro.sim.timing import CoreConfig, TimingModel, TimingResult
+from repro.sim.timing import CoreConfig, TimingModel
 from repro.sim.tlb import TLB
 from repro.sim.trace_intern import TraceInterner, interner_from_env
-from repro.sim.uop import NULL_TRACE_BUILDER, Tag, Trace, TraceBuilder
-
-
-def default_memory() -> SimulatedMemory:
-    """Engine-selected simulated memory: arena slabs under columnar, the
-    sparse word dict under reference.  Both are observationally identical."""
-    return ArenaMemory() if is_columnar() else SimulatedMemory()
+from repro.sim.uop import Tag, Trace, TraceBuilder
 
 
 def default_hierarchy() -> CacheHierarchy:
@@ -79,20 +73,6 @@ class Machine:
         if warming == "warm":
             return WarmingEmitter(self)
         return FunctionalEmitter(self)
-
-    def apply_memo_overrides(
-        self, memoize_traces: bool | None, intern_traces: bool | None
-    ) -> None:
-        """Apply an allocator constructor's explicit memo switches; ``None``
-        leaves this machine's default in place (the ``CoreConfig`` for
-        trace memoization, ``REPRO_TRACE_INTERN`` for interning)."""
-        if memoize_traces is not None:
-            self.timing.set_memoization(memoize_traces)
-        if intern_traces is not None:
-            if not intern_traces:
-                self.interner = None
-            elif self.interner is None:
-                self.interner = TraceInterner()
 
     def record_twins(self, alloc, fastpath=None, slowpath=None) -> None:
         """Note which fused twins ``alloc`` got, by its exact type name."""
@@ -207,9 +187,6 @@ class Emitter:
             return self.tb.build_interned(interner, intern_site)
         return self.tb.build()
 
-    def schedule(self) -> TimingResult:
-        return self.machine.timing.run(self.build())
-
 
 class FunctionalEmitter:
     """Functional fast-forward (skip mode): the same per-call API as
@@ -225,15 +202,13 @@ class FunctionalEmitter:
     update per branch — too cheap to be worth drifting).
 
     Uop indices are all 0: dependence threading only shapes traces, and
-    there is no trace.  ``build``/``schedule`` raise — a functional step has
-    no timing identity, and ``TCMalloc._finish`` short-circuits before
-    reaching them.  ``em.tb`` is a shared :data:`~repro.sim.uop
-    .NULL_TRACE_BUILDER` for any code reaching the builder duck-type.
+    there is no trace.  ``build`` raises — a functional step has no timing
+    identity, and every caller (``TCMalloc._finish``, the canary, Hoard and
+    Buddy paths) checks ``em.functional`` before reaching it.
     """
 
     functional = True
     touches_hierarchy = False
-    tb = NULL_TRACE_BUILDER
 
     __slots__ = ("machine", "_mem_read", "_mem_write", "_predict")
 
@@ -283,9 +258,6 @@ class FunctionalEmitter:
     # -- finishing ---------------------------------------------------------
     def build(self, intern_site: str | None = None) -> Trace:
         raise RuntimeError("functional fast-forward has no trace to build")
-
-    def schedule(self) -> TimingResult:
-        raise RuntimeError("functional fast-forward has no trace to schedule")
 
 
 class WarmingEmitter(FunctionalEmitter):

@@ -144,16 +144,8 @@ class Jemalloc(TCMalloc):
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
-        intern_traces: bool | None = None,
     ) -> None:
-        super().__init__(
-            machine=machine,
-            config=config,
-            ablations=ablations,
-            memoize_traces=memoize_traces,
-            intern_traces=intern_traces,
-        )
+        super().__init__(machine=machine, config=config, ablations=ablations)
         # Swap the size-class table for jemalloc's, regenerating the pools
         # that depend on class count.
         self._install_table(JemallocSizeClassTable.generate(self.machine.address_space))
@@ -219,8 +211,6 @@ def make_mallacc_jemalloc(
     config: AllocatorConfig | None = None,
     cache_config=None,
     ablations=None,
-    memoize_traces: bool | None = None,
-    intern_traces: bool | None = None,
 ):
     """Build a jemalloc accelerated by the *unchanged* Mallacc fast path.
 
@@ -233,13 +223,7 @@ def make_mallacc_jemalloc(
 
     class MallaccJemalloc(MallaccFastPathMixin, Jemalloc):  # noqa: F811
         def __init__(self) -> None:
-            super().__init__(
-                machine=machine,
-                config=config,
-                ablations=ablations,
-                memoize_traces=memoize_traces,
-                intern_traces=intern_traces,
-            )
+            super().__init__(machine=machine, config=config, ablations=ablations)
             self._attach_mallacc(cache_config)
 
     return MallaccJemalloc()

@@ -58,8 +58,6 @@ class MultiThreadAllocator:
         context_switch_flushes: bool = True,
         switch_quantum_cycles: int = 1_000_000,
         coherent: bool = False,
-        memoize_traces: bool | None = None,
-        intern_traces: bool | None = None,
     ) -> None:
         if num_threads < 1:
             raise ValueError("need at least one thread")
@@ -73,9 +71,6 @@ class MultiThreadAllocator:
             self.machine = machine or Machine()
             self.core_machines = [self.machine] * num_threads
             self.substrate = None
-        # Coherent mode runs one machine per core; apply to each.
-        for core in {id(m): m for m in self.core_machines}.values():
-            core.apply_memo_overrides(memoize_traces, intern_traces)
         self.config = config or AllocatorConfig()
         self.accelerated = accelerated
         self.context_switch_flushes = context_switch_flushes

@@ -58,8 +58,6 @@ class TimedHoard:
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
-        intern_traces: bool | None = None,
         num_heaps: int = 1,
         inner_factory: Callable[..., HoardAllocator] = HoardAllocator,
     ) -> None:
@@ -68,7 +66,6 @@ class TimedHoard:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        self.machine.apply_memo_overrides(memoize_traces, intern_traces)
         self.machine.record_twins(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
@@ -192,15 +189,12 @@ class TimedBuddy:
         machine: Machine | None = None,
         config: AllocatorConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
-        intern_traces: bool | None = None,
     ) -> None:
         self.inner = BuddyAllocator(
             machine=machine or Machine(), config=config or AllocatorConfig()
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        self.machine.apply_memo_overrides(memoize_traces, intern_traces)
         self.machine.record_twins(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
@@ -399,31 +393,24 @@ class AllocatorSpec:
     """True when a Mallacc flavour exists, enabling baseline-vs-accelerated
     comparisons (``repro run`` / ``matrix`` / ``tune``)."""
     baseline: Callable[..., object]
-    """(machine, config, ablations, memoize_traces, intern_traces) ->
-    standard-API allocator."""
+    """(machine, config, ablations) -> standard-API allocator."""
     mallacc: Callable[..., object] | None
-    """(machine, config, cache_config, ablations, memoize_traces,
-    intern_traces) -> accelerated standard-API allocator, or None."""
+    """(machine, config, cache_config, ablations) -> accelerated
+    standard-API allocator, or None."""
     multithreaded: Callable[..., object]
     """(num_threads, machine, config) -> MT-API allocator."""
 
 
-def _tcmalloc_baseline(machine=None, config=None, ablations=None,
-                       memoize_traces=None, intern_traces=None):
-    return TCMalloc(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
-    )
+def _tcmalloc_baseline(machine=None, config=None, ablations=None):
+    return TCMalloc(machine=machine, config=config, ablations=ablations)
 
 
-def _tcmalloc_mallacc(machine=None, config=None, cache_config=None,
-                      ablations=None, memoize_traces=None, intern_traces=None):
+def _tcmalloc_mallacc(machine=None, config=None, cache_config=None, ablations=None):
     from repro.core.accel_allocator import MallaccTCMalloc
 
     return MallaccTCMalloc(
         machine=machine, config=config, cache_config=cache_config,
-        ablations=ablations, memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
+        ablations=ablations,
     )
 
 
@@ -433,20 +420,14 @@ def _tcmalloc_mt(num_threads, machine=None, config=None):
     return MultiThreadAllocator(num_threads, machine=machine, config=config)
 
 
-def _jemalloc_baseline(machine=None, config=None, ablations=None,
-                       memoize_traces=None, intern_traces=None):
-    return Jemalloc(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
-    )
+def _jemalloc_baseline(machine=None, config=None, ablations=None):
+    return Jemalloc(machine=machine, config=config, ablations=ablations)
 
 
-def _jemalloc_mallacc(machine=None, config=None, cache_config=None,
-                      ablations=None, memoize_traces=None, intern_traces=None):
+def _jemalloc_mallacc(machine=None, config=None, cache_config=None, ablations=None):
     return make_mallacc_jemalloc(
         machine=machine, config=config, cache_config=cache_config,
-        ablations=ablations, memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
+        ablations=ablations,
     )
 
 
@@ -456,24 +437,16 @@ def _jemalloc_mt(num_threads, machine=None, config=None):
     )
 
 
-def _hoard_baseline(machine=None, config=None, ablations=None,
-                    memoize_traces=None, intern_traces=None):
-    return TimedHoard(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
-    )
+def _hoard_baseline(machine=None, config=None, ablations=None):
+    return TimedHoard(machine=machine, config=config, ablations=ablations)
 
 
 def _hoard_mt(num_threads, machine=None, config=None):
     return HoardMultiThread(num_threads, machine=machine, config=config)
 
 
-def _buddy_baseline(machine=None, config=None, ablations=None,
-                    memoize_traces=None, intern_traces=None):
-    return TimedBuddy(
-        machine=machine, config=config, ablations=ablations,
-        memoize_traces=memoize_traces, intern_traces=intern_traces,
-    )
+def _buddy_baseline(machine=None, config=None, ablations=None):
+    return TimedBuddy(machine=machine, config=config, ablations=ablations)
 
 
 def _buddy_mt(num_threads, machine=None, config=None):

@@ -105,25 +105,18 @@ def cmd_run(args: argparse.Namespace) -> None:
     workload = _workload_or_die(args.workload)
     if args.sample:
         return _cmd_run_sampled(args, workload)
-    memoize = False if args.no_trace_cache else None
-    intern = False if args.no_intern else None
     c = compare_workload(
         workload,
         num_ops=args.ops,
         seed=args.seed,
         cache_entries=args.entries,
-        memoize_traces=memoize,
-        intern_traces=intern,
         allocator=args.allocator,
     )
     print(f"workload          : {c.workload}  ({args.ops} ops, seed {args.seed}, "
           f"{args.allocator})")
     cache = trace_cache_summary(c.baseline, c.mallacc)
-    if cache["lookups"]:
-        print(f"trace cache       : {100 * cache['hit_rate']:.1f}% hit rate "
-              f"({cache['hits']:.0f}/{cache['lookups']:.0f} schedules memoized)")
-    else:
-        print("trace cache       : disabled")
+    print(f"trace cache       : {100 * cache['hit_rate']:.1f}% hit rate "
+          f"({cache['hits']:.0f}/{cache['lookups']:.0f} schedules memoized)")
     interned = intern_summary(c.baseline, c.mallacc)
     if interned["lookups"]:
         print(f"trace intern      : {100 * interned['hit_rate']:.1f}% hit rate "
@@ -718,18 +711,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--ops", type=int, default=3000)
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--entries", type=int, default=32, help="malloc cache entries")
-    run.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable trace-scheduling memoization (debugging; results are "
-             "bit-identical either way, just slower)",
-    )
-    run.add_argument(
-        "--no-intern",
-        action="store_true",
-        help="disable emission-template interning (debugging; results are "
-             "bit-identical either way, just slower)",
-    )
     run.add_argument(
         "--json", default=None, metavar="FILE",
         help="also write the scalar summary + provenance manifest as JSON "

@@ -286,16 +286,8 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
         config: AllocatorConfig | None = None,
         cache_config: MallocCacheConfig | None = None,
         ablations=None,
-        memoize_traces: bool | None = None,
-        intern_traces: bool | None = None,
     ) -> None:
-        super().__init__(
-            machine=machine,
-            config=config,
-            ablations=ablations,
-            memoize_traces=memoize_traces,
-            intern_traces=intern_traces,
-        )
+        super().__init__(machine=machine, config=config, ablations=ablations)
         self._attach_mallacc(cache_config)
 
 

@@ -91,8 +91,6 @@ class WorkloadComparison:
 
 def make_baseline(
     config: AllocatorConfig | None = None,
-    memoize_traces: bool | None = None,
-    intern_traces: bool | None = None,
     allocator: str = "tcmalloc",
 ) -> TCMalloc:
     """A stock allocator wired for the limit-study ablation.
@@ -102,10 +100,7 @@ def make_baseline(
     from repro.alloc.zoo import get_allocator
 
     return get_allocator(allocator).baseline(
-        config=config,
-        ablations={LIMIT_ABLATION: LIMIT_STUDY_TAGS},
-        memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
+        config=config, ablations={LIMIT_ABLATION: LIMIT_STUDY_TAGS}
     )
 
 
@@ -113,8 +108,6 @@ def make_mallacc(
     cache_entries: int = 32,
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
-    memoize_traces: bool | None = None,
-    intern_traces: bool | None = None,
     allocator: str = "tcmalloc",
 ) -> MallaccTCMalloc:
     from repro.alloc.zoo import get_allocator
@@ -126,12 +119,7 @@ def make_mallacc(
             "baseline-vs-accelerated comparisons need a comparable allocator"
         )
     cache_config = cache_config or MallocCacheConfig(num_entries=cache_entries)
-    return spec.mallacc(
-        config=config,
-        cache_config=cache_config,
-        memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
-    )
+    return spec.mallacc(config=config, cache_config=cache_config)
 
 
 def compare_workload(
@@ -142,19 +130,16 @@ def compare_workload(
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
     model_app_traffic: bool = True,
-    memoize_traces: bool | None = None,
-    intern_traces: bool | None = None,
     ops: Sequence[Op] | None = None,
     allocator: str = "tcmalloc",
 ) -> WorkloadComparison:
     """Run one workload under baseline and Mallacc and compare.
 
-    ``memoize_traces`` toggles trace-scheduling memoization on both runs
-    (``None`` keeps the :class:`~repro.sim.timing.CoreConfig` default, which
-    is on); ``intern_traces`` toggles emission-template interning the same
-    way (``None`` keeps the ``REPRO_TRACE_INTERN`` default, also on).
-    Results are bit-identical under any combination — the differential
-    sweeps in ``tests/integration/test_trace_cache_differential.py`` and
+    Both runs get default machines, so trace-scheduling memoization and
+    emission-template interning are on (``REPRO_TRACE_INTERN=0`` turns
+    interning off process-wide).  Results are bit-identical either way —
+    the differential sweeps in
+    ``tests/integration/test_trace_cache_differential.py`` and
     ``tests/integration/test_hot_path_differential.py`` enforce it.
 
     ``ops`` injects a pre-generated stream instead of generating one from
@@ -166,12 +151,7 @@ def compare_workload(
     """
     ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
 
-    baseline_alloc = make_baseline(
-        config=config,
-        memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
-        allocator=allocator,
-    )
+    baseline_alloc = make_baseline(config=config, allocator=allocator)
     baseline = run_workload(
         baseline_alloc, ops, name=workload.name, model_app_traffic=model_app_traffic
     )
@@ -180,8 +160,6 @@ def compare_workload(
         cache_entries=cache_entries,
         config=config,
         cache_config=cache_config,
-        memoize_traces=memoize_traces,
-        intern_traces=intern_traces,
         allocator=allocator,
     )
     mallacc = run_workload(

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from zlib import crc32
 
-from repro.sim.memory import MemoryError_
+from repro.sim.engine import is_columnar
+from repro.sim.memory import MemoryError_, SimulatedMemory
 
 _MASK64 = 0xFFFF_FFFF_FFFF_FFFF
 
@@ -86,3 +87,9 @@ class ArenaMemory:
     def words_written(self) -> int:
         """Number of non-zero words currently stored (for tests/stats)."""
         return self._nonzero
+
+
+def default_memory() -> ArenaMemory | SimulatedMemory:
+    """Engine-selected simulated memory: arena slabs under columnar, the
+    sparse word dict under reference.  Both are observationally identical."""
+    return ArenaMemory() if is_columnar() else SimulatedMemory()

@@ -16,10 +16,10 @@ trace into :class:`repro.sim.warm.WarmBank`.
 
 The dependence columns use CSR encoding: ``dep_indices[dep_indptr[i] :
 dep_indptr[i + 1]]`` are the source uop indices of uop ``i``.  Ablation
-(:func:`schedule_columns_ablated`) never materializes the tag-stripped
-trace: removed uops become zero-latency pass-throughs whose effective ready
-time is the max of their sources — provably the same value the reference
-engine computes by transitively rewiring dependences in
+(:func:`schedule_columns` with a ``removed_mask``) never materializes the
+tag-stripped trace: removed uops become zero-latency pass-throughs whose
+effective ready time is the max of their sources — provably the same value
+the reference engine computes by transitively rewiring dependences in
 :meth:`~repro.sim.uop.Trace.without_tags` and rescheduling.
 
 Everything here is observationally equivalent to the reference scheduler;
@@ -115,38 +115,12 @@ class TraceColumns:
 
 def compile_trace(trace: Trace) -> TraceColumns:
     """Compile ``trace`` into columns and cache them on the instance."""
-    kind_code = KIND_CODE
-    tag_code = TAG_CODE
-    n = len(trace.uops)
-    kinds = array("b", bytes(n))
-    flags = array("b", bytes(n))
-    lats = array("q", bytes(8 * n))
-    tags = array("b", bytes(n))
-    dep_indptr = array("i", bytes(4 * (n + 1)))
-    dep_indices = array("i")
-    tag_mask = 0
-    total = 0
-    for i, uop in enumerate(trace.uops):
-        code = kind_code[uop.kind]
-        kinds[i] = code
-        flag = 0
-        if code == _CODE_LOAD:
-            flag = FLAG_LOAD_PORT
-        elif code == _CODE_PREFETCH:
-            flag = FLAG_LOAD_PORT | FLAG_BUFFERED
-        elif code == _CODE_STORE:
-            flag = FLAG_STORE_PORT | FLAG_BUFFERED
-        flags[i] = flag
-        lats[i] = uop.latency
-        tcode = tag_code[uop.tag]
-        tags[i] = tcode
-        tag_mask |= 1 << tcode
-        deps = uop.deps
-        if deps:
-            dep_indices.extend(deps)
-            total += len(deps)
-        dep_indptr[i + 1] = total
-    cols = TraceColumns(n, kinds, flags, lats, dep_indptr, dep_indices, tags, tag_mask)
+    uops = trace.uops
+    n, kinds, flags, tags, tag_mask, indptr, indices, _ = compile_struct_columns(
+        tuple((uop.kind, uop.deps, None, uop.tag) for uop in uops)
+    )
+    lats = array("q", [uop.latency for uop in uops])
+    cols = TraceColumns(n, kinds, flags, lats, indptr, indices, tags, tag_mask)
     trace._columns = cols
     return cols
 
@@ -164,10 +138,21 @@ def columns_of(trace: Trace) -> TraceColumns:
     return cols
 
 
-def schedule_columns(cols: TraceColumns, config):
+def schedule_columns(cols: TraceColumns, config, removed_mask: int = 0):
     """Columnar twin of ``TimingModel._schedule``: identical semantics,
     primitive-array walk.  Returns ``(cycles, issue_times, ready_times)``
-    with the tuples in reference order."""
+    with the tuples in reference order.
+
+    ``removed_mask`` (bitmask of ``1 << TAG_CODE[tag]``) ablates every uop
+    whose tag code is set in it.  Removed uops become zero-cost
+    pass-throughs: their effective ready time is the max of their sources'
+    effective ready times, which equals the max over the surviving
+    transitive dependences that :meth:`~repro.sim.uop.Trace.without_tags`
+    would rewire to.  Kept uops are renumbered implicitly (ROB indexing
+    counts kept uops only), so the issue schedule is identical to
+    reference-scheduling the rewired trace, and the returned times cover
+    the kept uops only.
+    """
     width = config.issue_width
     load_ports = config.load_ports
     store_ports = config.store_ports
@@ -175,11 +160,16 @@ def schedule_columns(cols: TraceColumns, config):
     n = cols.n
     flags = cols.flags
     lats = cols.lats
+    tags = cols.tags
     indptr = cols.dep_indptr
     indices = cols.dep_indices
 
+    # Effective ready time per *original* index (a pass-through for removed
+    # uops).  With nothing removed it is the returned ready-time column;
+    # otherwise the kept uops' ready times are collected apart.
+    eff_ready: list[int] = []
+    ready_times = [] if removed_mask else eff_ready
     issue_times: list[int] = []
-    ready_times: list[int] = []
     # Per-cycle port counters as flat lists (cycle-indexed) — the schedule
     # probes them once or twice per uop, and list indexing beats dict
     # hashing there.  Grown geometrically as the frontier advances.
@@ -187,26 +177,32 @@ def schedule_columns(cols: TraceColumns, config):
     slots = [0] * cap
     load_slots = [0] * cap
     store_slots = [0] * cap
-    issue_append = issue_times.append
+    eff_append = eff_ready.append
     ready_append = ready_times.append
+    issue_append = issue_times.append
 
     completion = 0
     retire_times: list[int] = []
     retire_append = retire_times.append
     retire_frontier = 0
+    kept = 0
     lo = indptr[0]
     for i in range(n):
         cycle = 0
         hi = indptr[i + 1]
         while lo < hi:
-            r = ready_times[indices[lo]]
+            r = eff_ready[indices[lo]]
             if r > cycle:
                 cycle = r
             lo += 1
-        if i >= rob_size:
-            oldest_retire = retire_times[i - rob_size]
+        if removed_mask and removed_mask >> tags[i] & 1:
+            eff_append(cycle)
+            continue
+        if kept >= rob_size:
+            oldest_retire = retire_times[kept - rob_size]
             if oldest_retire > cycle:
                 cycle = oldest_retire
+        kept += 1
         flag = flags[i]
         is_load = flag & 1  # FLAG_LOAD_PORT
         is_store = flag & 2  # FLAG_STORE_PORT
@@ -235,7 +231,9 @@ def schedule_columns(cols: TraceColumns, config):
         issue_append(cycle)
 
         ready = cycle + lats[i]
-        ready_append(ready)
+        eff_append(ready)
+        if removed_mask:
+            ready_append(ready)
 
         if flag & 4:  # FLAG_BUFFERED: store/prefetch retire without stalling
             on_path = cycle + 1
@@ -246,104 +244,6 @@ def schedule_columns(cols: TraceColumns, config):
         retire_append(retire_frontier)
         if on_path > completion:
             completion = on_path
-
-    return completion, issue_times, ready_times
-
-
-def schedule_columns_ablated(cols: TraceColumns, removed_mask: int, config):
-    """Schedule ``cols`` with all uops whose tag code is set in
-    ``removed_mask`` (bitmask of ``1 << TAG_CODE[tag]``) removed.
-
-    Removed uops become zero-cost pass-throughs: their effective ready time
-    is the max of their sources' effective ready times, which equals the max
-    over the surviving transitive dependences that
-    :meth:`~repro.sim.uop.Trace.without_tags` would rewire to.  Kept uops
-    are renumbered implicitly (ROB indexing counts kept uops only), so the
-    issue schedule is identical to reference-scheduling the rewired trace.
-    Returns ``(cycles, issue_times, ready_times)`` for the kept uops.
-    """
-    width = config.issue_width
-    load_ports = config.load_ports
-    store_ports = config.store_ports
-    rob_size = config.rob_size
-    n = cols.n
-    flags = cols.flags
-    lats = cols.lats
-    tags = cols.tags
-    indptr = cols.dep_indptr
-    indices = cols.dep_indices
-
-    # effective ready per *original* index (pass-through for removed uops)
-    eff_ready: list[int] = []
-    eff_append = eff_ready.append
-    issue_times: list[int] = []
-    ready_times: list[int] = []
-    cap = 256
-    slots = [0] * cap
-    load_slots = [0] * cap
-    store_slots = [0] * cap
-
-    completion = 0
-    retire_times: list[int] = []
-    retire_frontier = 0
-    kept = 0
-    lo = indptr[0]
-    for i in range(n):
-        cycle = 0
-        hi = indptr[i + 1]
-        while lo < hi:
-            r = eff_ready[indices[lo]]
-            if r > cycle:
-                cycle = r
-            lo += 1
-        if removed_mask >> tags[i] & 1:
-            eff_append(cycle)
-            continue
-        if kept >= rob_size:
-            oldest_retire = retire_times[kept - rob_size]
-            if oldest_retire > cycle:
-                cycle = oldest_retire
-        flag = flags[i]
-        is_load = flag & 1
-        is_store = flag & 2
-        if cycle >= cap:
-            ext = cycle + 256 - cap
-            slots.extend([0] * ext)
-            load_slots.extend([0] * ext)
-            store_slots.extend([0] * ext)
-            cap += ext
-        while (
-            slots[cycle] >= width
-            or (is_load and load_slots[cycle] >= load_ports)
-            or (is_store and store_slots[cycle] >= store_ports)
-        ):
-            cycle += 1
-            if cycle >= cap:
-                slots.extend([0] * 256)
-                load_slots.extend([0] * 256)
-                store_slots.extend([0] * 256)
-                cap += 256
-        slots[cycle] += 1
-        if is_load:
-            load_slots[cycle] += 1
-        elif is_store:
-            store_slots[cycle] += 1
-        issue_times.append(cycle)
-
-        ready = cycle + lats[i]
-        ready_times.append(ready)
-        eff_append(ready)
-
-        if flag & 4:
-            on_path = cycle + 1
-        else:
-            on_path = ready
-        if on_path > retire_frontier:
-            retire_frontier = on_path
-        retire_times.append(retire_frontier)
-        if on_path > completion:
-            completion = on_path
-        kept += 1
 
     return completion, issue_times, ready_times
 

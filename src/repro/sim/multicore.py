@@ -20,18 +20,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.sim.arena import default_memory
 from repro.sim.cache import SetAssociativeCache, cache_class_from_env
 from repro.sim.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.sim.memory import SimulatedMemory, VirtualAddressSpace
-
-
-def _default_memory() -> SimulatedMemory:
-    # Engine-selected shared memory (multicore hierarchies themselves stay
-    # on the coherent eager model under both engines).
-    from repro.sim.arena import ArenaMemory
-    from repro.sim.engine import is_columnar
-
-    return ArenaMemory() if is_columnar() else SimulatedMemory()
 from repro.sim.timing import CoreConfig, TimingModel
 
 
@@ -124,7 +116,9 @@ class CoherentHierarchy(CacheHierarchy):
 class SharedSubstrate:
     """The pieces every core of one simulated machine shares."""
 
-    memory: SimulatedMemory = field(default_factory=lambda: _default_memory())
+    memory: SimulatedMemory = field(default_factory=default_memory)
+    """Engine-selected; the per-core hierarchies stay on the coherent eager
+    model under both engines."""
     address_space: VirtualAddressSpace = field(default_factory=VirtualAddressSpace)
     directory: CoherenceDirectory = field(default_factory=CoherenceDirectory)
     l3: SetAssociativeCache | None = None

@@ -29,7 +29,6 @@ from repro.sim.columns import (
     materialize_struct_columns,
     removed_tag_mask,
     schedule_columns,
-    schedule_columns_ablated,
 )
 from repro.sim.engine import is_columnar
 from repro.sim.trace_cache import DEFAULT_TRACE_CACHE_ENTRIES, TraceCache, TraceCacheStats
@@ -108,17 +107,6 @@ class TimingModel:
         self._shapes: set[tuple] = set()
 
     # ------------------------------------------------------------ memoization
-    def set_memoization(self, enabled: bool) -> None:
-        """Toggle trace-cache memoization on this model.
-
-        Enabling starts from an empty cache; disabling drops the cache (its
-        stats with it), so a later enable measures fresh."""
-        if enabled and self.cache is None:
-            entries = self.config.trace_cache_entries or DEFAULT_TRACE_CACHE_ENTRIES
-            self.cache = TraceCache(entries)
-        elif not enabled:
-            self.cache = None
-
     @property
     def cache_stats(self) -> TraceCacheStats | None:
         """Lifetime hit/miss/eviction stats, or ``None`` when disabled."""
@@ -225,10 +213,9 @@ class TimingModel:
         mask = self._ablate_masks.get(tags)
         if mask is None:
             mask = self._ablate_masks[tags] = removed_tag_mask(tags)
-        if cols.tag_mask & mask:
-            return self._result(schedule_columns_ablated(cols, mask, self.config))
-        # No uop carries a removed tag: the ablated trace is the trace.
-        return self._result(schedule_columns(cols, self.config))
+        # When no uop carries a removed tag, the ablated trace is the trace.
+        removed = mask if cols.tag_mask & mask else 0
+        return self._result(schedule_columns(cols, self.config, removed))
 
     def _result(self, scheduled) -> TimingResult:
         completion, issue_times, ready_times = scheduled

@@ -36,9 +36,10 @@ Correctness rests on two guarantees:
   (nothing in the repository does; the differential sweep in
   ``tests/integration/test_trace_cache_differential.py`` would catch it).
 
-Disable memoization — both levels — with
-``CoreConfig(trace_cache_entries=0)``, ``TCMalloc(memoize_traces=False)``,
-or ``--no-trace-cache`` on the CLI when debugging the scheduler itself.
+Memoization is decided by the machine alone.  To debug the scheduler
+itself, disable both levels with a machine built on
+``TimingModel(CoreConfig(trace_cache_entries=0))`` and pass it to the
+allocator (``TCMalloc(machine=...)``).
 """
 
 from __future__ import annotations

@@ -309,55 +309,3 @@ class TraceBuilder:
             site, tuple(self._tokens), tuple(self._latencies), self._materialize
         )
 
-
-class NullTraceBuilder:
-    """A :class:`TraceBuilder` stand-in that absorbs emission and records
-    nothing — the skippable-emission half of functional fast-forward.
-
-    The :class:`~repro.alloc.context.FunctionalEmitter` implements the hot
-    emitter methods directly, but exposes one of these as ``em.tb`` so any
-    code that reaches for the builder duck-type (``em.tb.note(...)``) keeps
-    working in functional mode instead of emitting into a trace that will
-    never be scheduled.  :meth:`build` raises: a functional step has no
-    timing identity, and silently scheduling an empty trace would corrupt
-    cycle accounting.
-    """
-
-    __slots__ = ()
-
-    def note(self, token) -> None:
-        pass
-
-    def alu(self, deps=(), tag=Tag.ADDRESSING, latency=1) -> int:
-        return 0
-
-    def load(self, addr, latency, deps=(), tag=Tag.ADDRESSING) -> int:
-        return 0
-
-    def store(self, addr, deps=(), tag=Tag.ADDRESSING) -> int:
-        return 0
-
-    def branch(self, deps=(), tag=Tag.ADDRESSING, mispredict_penalty=0) -> int:
-        return 0
-
-    def mallacc(self, latency, deps=(), tag=Tag.MALLACC) -> int:
-        return 0
-
-    def prefetch(self, addr, deps=(), tag=Tag.MALLACC) -> int:
-        return 0
-
-    def fixed(self, latency, deps=(), tag=Tag.SLOW_PATH) -> int:
-        return 0
-
-    def last_index(self) -> int:
-        return 0
-
-    def build(self) -> Trace:
-        raise RuntimeError("functional fast-forward has no trace to build")
-
-    def build_interned(self, interner, site: str) -> Trace:
-        raise RuntimeError("functional fast-forward has no trace to build")
-
-
-#: Shared stateless instance (NullTraceBuilder keeps nothing per call).
-NULL_TRACE_BUILDER = NullTraceBuilder()

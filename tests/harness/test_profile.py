@@ -175,6 +175,6 @@ class TestInternSummary:
         assert 0.0 < s["hit_rate"] <= 1.0
 
     def test_disabled_is_all_zero(self):
-        r = run_workload(make_baseline(intern_traces=False), _ops(50))
+        r = run_workload(TCMalloc(machine=Machine(interner=None)), _ops(50))
         s = intern_summary(r)
         assert s == {"hits": 0.0, "misses": 0.0, "lookups": 0.0, "hit_rate": 0.0}

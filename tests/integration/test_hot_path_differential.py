@@ -12,12 +12,14 @@ family to that promise, across serial, multithreaded, sampled, traffic,
 and sweep entry points, and (in subprocesses) across hash-randomization
 seeds.
 
-Both the engine and the cache implementation are chosen from the
-environment (``REPRO_ENGINE``, ``REPRO_CACHE_IMPL``) at machine
-construction, so each configuration builds its allocators inside the env
-context.  App-traffic modeling stays ON for the single-threaded grids —
-that is what routes the batched ``touch_lines`` walk (fast) against the
-per-line reference loop, and the lazy ring hierarchy against both.
+The engine, the cache implementation and interning are all chosen from
+the environment (``REPRO_ENGINE``, ``REPRO_CACHE_IMPL``,
+``REPRO_TRACE_INTERN``) at machine construction, so each configuration
+builds its allocators inside the env context — which also reaches the
+machines built inside sweeps, traffic and coherent cores.  App-traffic
+modeling stays ON for the single-threaded grids — that is what routes the
+batched ``touch_lines`` walk (fast) against the per-line reference loop,
+and the lazy ring hierarchy against both.
 """
 
 import os
@@ -41,7 +43,7 @@ from repro.workloads.threads import balanced_churn, producer_consumer
 
 #: (engine env value or None for the columnar default,
 #:  cache impl env value or None for the O(1) default,
-#:  intern_traces)
+#:  interning on)
 GRID = [
     (None, None, True),
     (None, None, False),
@@ -51,13 +53,13 @@ GRID = [
     ("reference", "reference", True),
 ]
 
-_ENV_KEYS = ("REPRO_ENGINE", "REPRO_CACHE_IMPL")
+_ENV_KEYS = ("REPRO_ENGINE", "REPRO_CACHE_IMPL", "REPRO_TRACE_INTERN")
 
 
 @contextmanager
-def _engine_env(engine, impl):
+def _engine_env(engine, impl, intern=True):
     saved = {k: os.environ.get(k) for k in _ENV_KEYS}
-    for key, value in (("REPRO_ENGINE", engine), ("REPRO_CACHE_IMPL", impl)):
+    for key, value in zip(_ENV_KEYS, (engine, impl, None if intern else "0")):
         if value is None:
             os.environ.pop(key, None)
         else:
@@ -106,8 +108,8 @@ def _hierarchy_state(machine):
 def _grid_replays(workload, allocator, num_ops):
     outs = []
     for engine, impl, intern in GRID:
-        with _engine_env(engine, impl):
-            alloc = allocator(intern_traces=intern)
+        with _engine_env(engine, impl, intern):
+            alloc = allocator()
             result = run_workload(
                 alloc, workload.ops(seed=7, num_ops=num_ops), name=workload.name
             )
@@ -207,8 +209,8 @@ class TestMultithreaded:
         workload = balanced_churn(4)
         outs = []
         for engine, impl, intern in GRID:
-            with _engine_env(engine, impl):
-                mt = MultiThreadAllocator(4, coherent=coherent, intern_traces=intern)
+            with _engine_env(engine, impl, intern):
+                mt = MultiThreadAllocator(4, coherent=coherent)
                 result = run_multithreaded(
                     mt, workload.ops(seed=7, num_ops=500), name=workload.name
                 )
@@ -356,8 +358,8 @@ class TestRefillTwins:
         outs = []
         twins = []
         for engine, impl, intern in GRID:
-            with _engine_env(engine, impl):
-                alloc = allocator(intern_traces=intern)
+            with _engine_env(engine, impl, intern):
+                alloc = allocator()
                 if alloc._slowpath is not None:
                     alloc._slowpath = _CountingTwin(alloc._slowpath)
                 twins.append(alloc._slowpath)
@@ -558,18 +560,8 @@ class TestSweep:
         workload = MICROBENCHMARKS["tp_small"]
         curves = []
         for engine, impl, intern in GRID:
-            with _engine_env(engine, impl):
-                env_intern = os.environ.get("REPRO_TRACE_INTERN")
-                os.environ["REPRO_TRACE_INTERN"] = "1" if intern else "0"
-                try:
-                    r = sweep_cache_sizes(
-                        workload, sizes=(4, 16), num_ops=200, seed=3
-                    )
-                finally:
-                    if env_intern is None:
-                        os.environ.pop("REPRO_TRACE_INTERN", None)
-                    else:
-                        os.environ["REPRO_TRACE_INTERN"] = env_intern
+            with _engine_env(engine, impl, intern):
+                r = sweep_cache_sizes(workload, sizes=(4, 16), num_ops=200, seed=3)
             curves.append((r.malloc_speedups, r.allocator_speedups, r.limit_speedup))
         assert all(c == curves[0] for c in curves[1:])
 
@@ -585,7 +577,7 @@ class TestEngineProvenance:
         for env_value, expected in ((None, ENGINE_COLUMNAR),
                                     ("reference", ENGINE_REFERENCE)):
             with _engine_env(env_value, None):
-                alloc = make_baseline(intern_traces=True)
+                alloc = make_baseline()
                 result = run_workload(
                     alloc, wl.ops(seed=7, num_ops=120), name=wl.name
                 )
@@ -600,7 +592,7 @@ class TestEngineProvenance:
         payloads = []
         for env_value in (None, "reference"):
             with _engine_env(env_value, None):
-                alloc = make_baseline(intern_traces=True)
+                alloc = make_baseline()
                 result = run_workload(
                     alloc, wl.ops(seed=7, num_ops=120), name=wl.name
                 )
@@ -627,7 +619,7 @@ class TestEngineProvenance:
 
         wl = MACRO_WORKLOADS["400.perlbench"]
         with _engine_env(None, None), LayerProfile() as prof:
-            alloc = make_baseline(intern_traces=True)
+            alloc = make_baseline()
             run_workload(alloc, wl.ops(seed=7, num_ops=200), name=wl.name)
         summary = prof.summary()
         assert summary["counters"]["columnar_templates_compiled"] > 0
@@ -639,7 +631,7 @@ class TestEngineProvenance:
 
         wl = MICROBENCHMARKS["tp_small"]
         with _engine_env("reference", None), LayerProfile() as prof:
-            alloc = make_baseline(intern_traces=True)
+            alloc = make_baseline()
             run_workload(alloc, wl.ops(seed=7, num_ops=150), name=wl.name)
         summary = prof.summary()
         assert summary["counters"]["columnar_templates_compiled"] == 0
@@ -686,22 +678,16 @@ class TestHashRandomization:
 
 
 class TestValidateMode:
-    def test_validate_mode_clean_on_real_workload(self):
+    def test_validate_mode_clean_on_real_workload(self, monkeypatch):
         """REPRO_INTERN_VALIDATE=1 rebuilds every intern hit and asserts
         fingerprint equality; a full macro replay must come through clean
         (every structural decision is tokenized)."""
-        saved = os.environ.get("REPRO_INTERN_VALIDATE")
-        os.environ["REPRO_INTERN_VALIDATE"] = "1"
-        try:
-            alloc = make_baseline(intern_traces=True)
-            run_workload(
-                alloc,
-                MACRO_WORKLOADS["400.perlbench"].ops(seed=7, num_ops=250),
-                name="validate",
-            )
-        finally:
-            if saved is None:
-                os.environ.pop("REPRO_INTERN_VALIDATE", None)
-            else:
-                os.environ["REPRO_INTERN_VALIDATE"] = saved
+        monkeypatch.setenv("REPRO_INTERN_VALIDATE", "1")
+        monkeypatch.delenv("REPRO_TRACE_INTERN", raising=False)
+        alloc = make_baseline()
+        run_workload(
+            alloc,
+            MACRO_WORKLOADS["400.perlbench"].ops(seed=7, num_ops=250),
+            name="validate",
+        )
         assert alloc.machine.interner.stats.validations > 0

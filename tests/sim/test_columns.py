@@ -9,7 +9,6 @@ without tag ablation, and the compiled columns must survive pickling
 (warm banks ship templates across processes).
 """
 
-import os
 import pickle
 
 import pytest
@@ -19,27 +18,24 @@ from repro.sim.columns import (
     compile_trace,
     removed_tag_mask,
     schedule_columns,
-    schedule_columns_ablated,
 )
 from repro.sim.uop import Tag
 
 
 def _templates():
-    """Interned templates (with machine) from a short mixed replay."""
-    saved = os.environ.get("REPRO_ENGINE")
-    os.environ.pop("REPRO_ENGINE", None)  # columnar default
-    try:
-        from repro.harness.experiments import make_mallacc
-        from repro.harness.runner import run_workload
-        from repro.workloads import MACRO_WORKLOADS
+    """Interned templates (with machine) from a short mixed replay on the
+    columnar default engine, interning on."""
+    from repro.harness.experiments import make_mallacc
+    from repro.harness.runner import run_workload
+    from repro.workloads import MACRO_WORKLOADS
 
-        alloc = make_mallacc(intern_traces=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.delenv("REPRO_ENGINE", raising=False)
+        mp.delenv("REPRO_TRACE_INTERN", raising=False)
+        alloc = make_mallacc()
         wl = MACRO_WORKLOADS["400.perlbench"]
         run_workload(alloc, wl.ops(seed=7, num_ops=300), name=wl.name)
-        return alloc.machine, list(alloc.machine.interner.export_templates().values())
-    finally:
-        if saved is not None:
-            os.environ["REPRO_ENGINE"] = saved
+    return alloc.machine, list(alloc.machine.interner.export_templates().values())
 
 
 MACHINE, TEMPLATES = _templates()
@@ -78,12 +74,12 @@ def test_ablated_schedule_matches_without_tags(tags):
     mask = removed_tag_mask(tags)
     for trace in TEMPLATES:
         ref = timing._schedule(trace.without_tags(tags))
-        cols = columns_of(trace)
-        if cols.tag_mask & mask:
-            completion, _, _ = schedule_columns_ablated(cols, mask, timing.config)
-        else:
-            completion, _, _ = schedule_columns(cols, timing.config)
+        completion, issue, ready = schedule_columns(
+            columns_of(trace), timing.config, mask
+        )
         assert completion + timing.config.pipeline_overhead == ref.cycles
+        assert tuple(issue) == ref.issue_times
+        assert tuple(ready) == ref.ready_times
 
 
 class TestPickle:

@@ -16,12 +16,16 @@ explicit cross-engine checks:
 
 import pytest
 
-from repro.harness.experiments import make_baseline, make_mallacc
+from repro.alloc.allocator import TCMalloc
+from repro.alloc.context import Machine
+from repro.core.accel_allocator import MallaccTCMalloc
+from repro.harness.experiments import make_baseline
 from repro.harness.runner import run_workload
 from repro.sim import timing as timing_mod
 from repro.sim import trace_cache
 from repro.sim.timing import CoreConfig, TimingModel
 from repro.sim.trace_cache import TraceCache
+from repro.sim.trace_intern import TraceInterner
 from repro.sim.uop import Tag
 from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS
 
@@ -42,8 +46,9 @@ def twin_traces():
     birth), from a short columnar replay on a throwaway memo."""
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("REPRO_ENGINE", raising=False)
+        mp.delenv("REPRO_TRACE_INTERN", raising=False)
         mp.setattr(trace_cache, "SCHEDULE_MEMO", TraceCache(1 << 16))
-        alloc = make_baseline(intern_traces=True)
+        alloc = make_baseline()
         wl = MICROBENCHMARKS["tp_small"]
         run_workload(alloc, wl.ops(seed=3, num_ops=200), name=wl.name)
     traces = [
@@ -66,19 +71,33 @@ class _Spy:
         return self.fn(*args, **kwargs)
 
 
+class _MaskSpy(_Spy):
+    """Counts columnar schedules by removed-tag mask: full walks (mask 0)
+    and ablated walks go through one function."""
+
+    def __init__(self, fn):
+        super().__init__(fn)
+        self.full = self.ablated = 0
+
+    def __call__(self, cols, config, removed_mask=0):
+        if removed_mask:
+            self.ablated += 1
+        else:
+            self.full += 1
+        return super().__call__(cols, config, removed_mask)
+
+
 @pytest.fixture
 def spies(monkeypatch):
-    """Spies on both engines' schedulers: the columnar array walks (full and
-    ablated) and the reference object walk."""
-    columnar = _Spy(timing_mod.schedule_columns)
-    ablated = _Spy(timing_mod.schedule_columns_ablated)
+    """Spies on both engines' schedulers: the columnar array walk (full and
+    ablated, told apart by mask) and the reference object walk."""
+    columnar = _MaskSpy(timing_mod.schedule_columns)
     reference = _Spy(TimingModel._schedule)
     monkeypatch.setattr(timing_mod, "schedule_columns", columnar)
-    monkeypatch.setattr(timing_mod, "schedule_columns_ablated", ablated)
     monkeypatch.setattr(
         TimingModel, "_schedule", lambda self, trace: reference(self, trace)
     )
-    return {True: lambda: columnar.calls + ablated.calls, False: lambda: reference.calls}
+    return {True: lambda: columnar.calls, False: lambda: reference.calls}
 
 
 def _schedule(model, trace, ablated):
@@ -96,12 +115,16 @@ class TestMemoizationOff:
         first = _schedule(model, trace, ablated)
         second = _schedule(model, trace, ablated)
         assert spies[columnar]() == 2
+        if columnar:
+            walks = timing_mod.schedule_columns  # the spy
+            assert (walks.full, walks.ablated) == ((0, 2) if ablated else (2, 0))
         assert first == second
         assert len(memo) == 0 and memo.stats.lookups == 0
 
 
 def test_allocator_switch_turns_the_shared_memo_off(memo):
-    alloc = make_baseline(memoize_traces=False)
+    machine = Machine(timing=TimingModel(CoreConfig(trace_cache_entries=0)))
+    alloc = TCMalloc(machine=machine)
     assert alloc.machine.timing.cache is None
     wl = MICROBENCHMARKS["tp_small"]
     run_workload(alloc, wl.ops(seed=3, num_ops=100), name=wl.name)
@@ -143,8 +166,9 @@ class TestEngineIsolation:
 def _replay(num_ops=400):
     """One Mallacc replay with a limit-study ablation, on fresh machines:
     per-call cycles (full and ablated) plus the per-machine counters."""
-    alloc = make_mallacc(intern_traces=True)
-    alloc.ablations = {"size_class": ABLATE}
+    alloc = MallaccTCMalloc(
+        machine=Machine(interner=TraceInterner()), ablations={"size_class": ABLATE}
+    )
     wl = MACRO_WORKLOADS["400.perlbench"]
     result = run_workload(alloc, wl.ops(seed=5, num_ops=num_ops), name=wl.name)
     cache = alloc.machine.timing.cache_stats

@@ -3,7 +3,7 @@
 The differential sweep over whole workloads lives in
 ``tests/integration/test_trace_cache_differential.py``; here we pin the
 cache mechanics (fingerprint canonicality, LRU behavior, statistics, the
-enable/disable switches) at the component level.
+machine's enable/disable state) at the component level.
 """
 
 import pytest
@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.alloc import TCMalloc
+from repro.alloc.context import Machine
 from repro.sim.timing import CoreConfig, TimingModel
 from repro.sim.trace_cache import DEFAULT_TRACE_CACHE_ENTRIES, TraceCache, TraceCacheStats
 from repro.sim.uop import LIMIT_STUDY_TAGS, Tag, Trace, TraceBuilder
@@ -144,17 +145,6 @@ class TestTimingModelMemoization:
         assert r2 is r1
         assert model.cache_stats.hits == 1
 
-    def test_set_memoization_toggles(self):
-        model = TimingModel()
-        model.run(small_trace())
-        model.set_memoization(False)
-        assert model.cache is None
-        r_off = model.run(small_trace())
-        model.set_memoization(True)
-        assert model.cache is not None
-        assert model.cache_stats.lookups == 0  # fresh cache, fresh stats
-        assert model.run(small_trace()).cycles == r_off.cycles
-
     def test_run_ablated_matches_unmemoized_without_tags(self):
         memo = TimingModel()
         plain = TimingModel(CoreConfig(trace_cache_entries=0))
@@ -176,6 +166,11 @@ class TestTimingModelMemoization:
         assert model.run_ablated(trace, {Tag.SIZE_CLASS}) is ablated
 
 
+def _machine(memoize: bool) -> Machine:
+    entries = DEFAULT_TRACE_CACHE_ENTRIES if memoize else 0
+    return Machine(timing=TimingModel(CoreConfig(trace_cache_entries=entries)))
+
+
 class TestAllocatorSwitch:
     def test_tcmalloc_exposes_stats(self):
         alloc = TCMalloc()
@@ -185,14 +180,14 @@ class TestAllocatorSwitch:
         assert stats.lookups > 0
 
     def test_tcmalloc_memoize_false(self):
-        alloc = TCMalloc(memoize_traces=False)
+        alloc = TCMalloc(machine=_machine(False))
         assert alloc.trace_cache_stats is None
         ptr, record = alloc.malloc(64)
         assert record.cycles > 0
 
     def test_memoization_does_not_change_call_records(self):
         def replay(memoize):
-            alloc = TCMalloc(memoize_traces=memoize)
+            alloc = TCMalloc(machine=_machine(memoize))
             out = []
             for i in range(40):
                 ptr, rec = alloc.malloc(64 if i % 2 else 256)

@@ -80,10 +80,6 @@ class TestCli:
         assert payload["counters"]["hierarchy_probes"] == layers["hier.probe"]["calls"]
         assert set(payload["twins"]) == {"TCMalloc"}
 
-    def test_run_no_intern(self, capsys):
-        out = run_cli(capsys, "run", "tp_small", "--ops", "300", "--no-intern")
-        assert "disabled" in out
-
     def test_report(self, capsys, tmp_path):
         out_file = tmp_path / "results.md"
         out = run_cli(capsys, "report", "--out", str(out_file), "--ops", "400")
