@@ -2,9 +2,8 @@
 
 Runs a smoke experiment matrix (four macro workloads × two malloc-cache
 sizes) twice — serially in-process (``jobs=1``) and sharded across four
-fork-server worker processes (``jobs=4``, auto-sized cell batches, one
-executor, prewarmed warm bank) — and writes ``BENCH_parallel_harness.json``
-at the repository root with:
+worker processes (``jobs=4``, auto-sized cell batches, one executor) — and
+writes ``BENCH_parallel_harness.json`` at the repository root with:
 
 * wall-clock for both paths (best of ``REPRO_BENCH_REPEATS`` attempts,
   default 1) and the resulting speedup;
@@ -12,8 +11,8 @@ at the repository root with:
   the serial bytes);
 * a resume check: after deleting two checkpoints, a ``resume=True`` rerun
   recomputes exactly those two cells and reproduces identical bytes;
-* harness shape: resolved batch size, batches dispatched, pools created,
-  and the warm-bank sizes/hit counters;
+* harness shape: resolved batch size, batches dispatched and pools
+  created;
 * the pooled trace-cache hit rate across all cells.
 
 The speedup criterion is only meaningful with real parallelism available:
@@ -133,7 +132,6 @@ def main() -> dict:
         "batch_size": sharded.stats.batch_size,
         "batches": sharded.stats.batches,
         "pools_created": sharded.stats.pools_created,
-        "warm": dict(sharded.stats.warm),
         "resume": {
             "resumed_cells": resumed_result.stats.cells_resumed,
             "recomputed_cells": resumed_result.stats.cells_done,
@@ -143,8 +141,8 @@ def main() -> dict:
         "quarantined": sorted(sharded.quarantined),
         "notes": (
             "serial is run_matrix(jobs=1) in-process; sharded is jobs=4 "
-            "fork-server workers (auto-batched cells, one executor, prewarmed "
-            "warm bank) with group-committed checkpoints.  cpus_affinity is "
+            "workers (auto-batched cells, one executor) with group-committed "
+            "checkpoints.  cpus_affinity is "
             "sched_getaffinity (the container quota), cpus_logical is "
             "os.cpu_count().  speedup_asserted=false means the host exposed "
             "fewer than 4 usable CPUs, so the >=1.5x floor is recorded but "

@@ -63,6 +63,11 @@ class MultiThreadAllocator:
             raise ValueError("need at least one thread")
         self.coherent = coherent
         if coherent:
+            if machine is not None:
+                raise ValueError(
+                    "coherent cores build their own machines; "
+                    "pass machine= only with coherent=False"
+                )
             from repro.sim.multicore import build_core_machines
 
             self.core_machines, self.substrate = build_core_machines(num_threads)

@@ -327,7 +327,6 @@ def cmd_matrix(args: argparse.Namespace) -> None:
         resume=args.resume,
         progress=progress,
         batch_size=args.batch_size,
-        prewarm=not args.no_prewarm,
     )
     payload = matrix_to_json(result)
     if args.out:
@@ -689,11 +688,6 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         "--batch-size", type=int, default=None, metavar="K",
         help="cells per worker task (default: auto-size one wave per "
              "worker; 1 restores per-cell tasks)",
-    )
-    parser.add_argument(
-        "--no-prewarm", action="store_true",
-        help="skip the fork-server warm bank (debugging; results are "
-             "bit-identical either way, just slower)",
     )
 
 

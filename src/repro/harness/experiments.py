@@ -130,7 +130,6 @@ def compare_workload(
     config: AllocatorConfig | None = None,
     cache_config: MallocCacheConfig | None = None,
     model_app_traffic: bool = True,
-    ops: Sequence[Op] | None = None,
     allocator: str = "tcmalloc",
 ) -> WorkloadComparison:
     """Run one workload under baseline and Mallacc and compare.
@@ -141,15 +140,8 @@ def compare_workload(
     the differential sweeps in
     ``tests/integration/test_trace_cache_differential.py`` and
     ``tests/integration/test_hot_path_differential.py`` enforce it.
-
-    ``ops`` injects a pre-generated stream instead of generating one from
-    ``(seed, num_ops)`` — it must equal ``list(workload.ops(seed=seed,
-    num_ops=num_ops))`` for the result to be meaningful.  The parallel
-    harness uses this to share one read-only stream across the cells of a
-    workload family (:mod:`repro.sim.warm`); the stream is deterministic, so
-    injection is invisible to results.
     """
-    ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
+    ops = list(workload.ops(seed=seed, num_ops=num_ops))
 
     baseline_alloc = make_baseline(config=config, allocator=allocator)
     baseline = run_workload(
@@ -372,8 +364,10 @@ def compare_workload_sampled(
     until the program-speedup CI half-width is at most ``target_ci``
     percentage points (or the plan is saturated / ``max_rounds`` reached).
     Per-run adaptive refinement is disabled — pairing requires both sides
-    to see the same intervals.  ``ops`` injects a pre-generated stream, as
-    in :func:`compare_workload`.
+    to see the same intervals.  ``ops`` injects a pre-generated stream
+    instead of generating one from ``(seed, num_ops)``; it must equal
+    ``list(workload.ops(seed=seed, num_ops=num_ops))`` for the result to be
+    meaningful.
     """
     ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
     cfg = sampling or SamplingConfig()

@@ -25,22 +25,19 @@ shards that experiment matrix across a ``multiprocessing`` worker pool:
   per-cell wall time, and the pooled trace-cache hit rate via
   :func:`~repro.harness.metrics.trace_cache_summary`.
 
-Sharding is amortized three ways so ``jobs > 1`` wins even on the small
+Sharding is amortized two ways so ``jobs > 1`` wins even on the small
 cells sampled methodologies produce (SMARTS-style interval plans make
 cells *cheaper*, which makes per-task overhead *relatively* costlier):
 
 * **cell batching** — workers receive *batches* of cells per task
-  (:func:`plan_batches`), grouped locality-aware by workload family so a
-  batch's cells share one warm read-only op stream and the same interned
-  fast-path templates.  ``batch_size=None`` auto-sizes
+  (:func:`plan_batches`), grouped locality-aware by workload family.  A
+  worker keeps its process-wide schedule memo
+  (:data:`~repro.sim.trace_cache.SCHEDULE_MEMO`) and structure store
+  across cells, so a family's later cells reuse the schedules and twin
+  shapes its first cell computed.  Both are consulted only after a
+  per-machine miss is counted, so per-cell summaries and pooled metrics
+  are byte-identical to cold serial runs.  ``batch_size=None`` auto-sizes
   (:func:`auto_batch_size`); ``1`` restores per-cell tasks;
-* **fork-server workers** — the pool ``initializer`` installs a
-  :class:`~repro.sim.warm.WarmBank` pre-built by the parent (tiny warm
-  replays per workload family) holding interned trace templates,
-  read-only op streams, and scheduling results it loads into the shared
-  schedule memo.  Banks are telemetry-neutral by construction: they
-  satisfy cache *misses* after the miss is counted, so per-cell summaries
-  and pooled metrics are byte-identical to cold serial runs;
 * **one pool per run** — the ``ProcessPoolExecutor`` is created once and
   reused across retry rounds; it is rebuilt only after a
   ``BrokenProcessPool`` (a worker killed outright), and checkpoint writes
@@ -68,20 +65,16 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.sim import warm as warm_state
-
 from repro.harness.experiments import (
     compare_workload,
     compare_workload_sampled,
-    make_baseline,
-    make_mallacc,
     summarize_comparison,
     summarize_sampled_comparison,
 )
 from repro.harness.metrics import intern_summary, sampling_summary, trace_cache_summary
-from repro.harness.runner import run_workload
 from repro.obs.bridges import matrix_registry, run_registry
 from repro.obs.manifest import collect_manifest
+from repro.sim import trace_cache
 from repro.sim.sampling import SamplingConfig
 
 CHECKPOINT_VERSION = 2
@@ -257,15 +250,6 @@ def run_cell(cell: SweepCell) -> CellResult:
         raise ValueError(f"unknown workload {cell.workload!r}")
     workload = registry[cell.workload]
     manifest = collect_manifest(asdict(cell), seed=cell.seed, cell_id=cell.cell_id)
-    # In a pool worker with a warm bank installed, cells of one workload
-    # family share a single read-only op stream across batches; without a
-    # bank (the serial path) this generates the stream exactly as before.
-    ops = warm_state.stream_for(
-        cell.workload,
-        cell.seed,
-        cell.num_ops,
-        lambda: workload.ops(seed=cell.seed, num_ops=cell.num_ops),
-    )
     if cell.sampled:
         comparison = compare_workload_sampled(
             workload,
@@ -274,7 +258,6 @@ def run_cell(cell: SweepCell) -> CellResult:
             cache_entries=cell.cache_entries,
             model_app_traffic=cell.model_app_traffic,
             sampling=cell.sampling_config(),
-            ops=ops,
             allocator=cell.allocator,
         )
         summary = summarize_sampled_comparison(comparison)
@@ -287,7 +270,6 @@ def run_cell(cell: SweepCell) -> CellResult:
             seed=cell.seed,
             cache_entries=cell.cache_entries,
             model_app_traffic=cell.model_app_traffic,
-            ops=ops,
             allocator=cell.allocator,
         )
         summary = summarize_comparison(comparison)
@@ -431,9 +413,10 @@ def plan_batches(
 
     Cells are grouped by workload family first (preserving matrix order
     within each family), then chunked to ``batch_size``: cells of one
-    family share a seed (:func:`derive_seed`) and therefore one read-only
-    op stream and the same interned fast-path templates, so a family batch
-    pays the stream/template cost once.  Execution order never affects
+    family share a seed (:func:`derive_seed`) and therefore one op stream,
+    so they schedule mostly the same traces, and a family batch pays for
+    each schedule and twin shape once, in the worker's process-wide
+    schedule memo and structure store.  Execution order never affects
     results (cells are hermetic); only task-overhead amortization does.
     """
     if batch_size is None:
@@ -451,100 +434,36 @@ def plan_batches(
 
 
 # ---------------------------------------------------------------------------
-# Fork-server warm state
+# Worker tasks
 # ---------------------------------------------------------------------------
-WARM_REPLAY_OPS = 96
-"""Ops per throwaway warm replay.  Enough to exercise every fast-path shape
-a family emits (fill + steady state on a small thread cache); small enough
-that prewarm stays a rounding error next to one real cell."""
+# Patched by name in benchmarks/e2e/layertrace.py; ROADMAP item 13 retires it.
+def _worker_init(_arg: None) -> None:
+    """Pool initializer: does nothing."""
 
 
-def _worker_init(bank: warm_state.WarmBank | None) -> None:
-    """Pool initializer: installs the parent-built warm bank in the worker
-    (the fork-server handshake), which loads its schedules into the shared
-    schedule memo — so a ``spawn`` worker starts warm too.  Runs once per
-    worker process."""
-    warm_state.install_bank(bank)
-
-
-def build_warm_bank(
-    cells: Sequence[SweepCell], warm_ops: int = WARM_REPLAY_OPS
-) -> warm_state.WarmBank:
-    """Parent-side prewarm: build the :class:`~repro.sim.warm.WarmBank` the
-    pool initializer ships to every worker.
-
-    Per distinct ``(workload, seed, cache_entries, app-traffic)`` family the
-    parent replays a ``warm_ops``-op prefix under both baseline and Mallacc
-    allocators and harvests the machines' interned templates and memoized
-    scheduling results.  Harvested values are keyed by content (shared-memo
-    keys, ``(site, tokens, latencies)`` triples), so a truncated
-    warm replay only bounds *coverage*, never correctness.  Op streams small
-    enough to hold (:data:`~repro.sim.warm.STREAM_PREWARM_MAX_OPS`) are
-    pre-generated here so every worker inherits them read-only; larger
-    streams stay lazy, memoized worker-side on first use.
-    """
-    from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS
-
-    registry = {**MICROBENCHMARKS, **MACRO_WORKLOADS}
-    bank = warm_state.WarmBank()
-    warmed: set[tuple] = set()
-    for cell in cells:
-        workload = registry.get(cell.workload)
-        if workload is None:
-            continue
-        stream_key = (cell.workload, cell.seed, cell.num_ops)
-        if (
-            cell.num_ops <= warm_state.STREAM_PREWARM_MAX_OPS
-            and stream_key not in bank.streams
-        ):
-            bank.streams[stream_key] = tuple(
-                workload.ops(seed=cell.seed, num_ops=cell.num_ops)
-            )
-        family = (
-            cell.workload, cell.seed, cell.cache_entries,
-            cell.model_app_traffic, cell.allocator,
-        )
-        if family in warmed:
-            continue
-        warmed.add(family)
-        n = min(warm_ops, cell.num_ops)
-        full = bank.streams.get(stream_key)
-        ops = list(full[:n]) if full is not None else list(
-            workload.ops(seed=cell.seed, num_ops=n)
-        )
-        for alloc in (
-            make_baseline(allocator=cell.allocator),
-            make_mallacc(cache_entries=cell.cache_entries, allocator=cell.allocator),
-        ):
-            run_workload(
-                alloc, ops,
-                name=cell.workload,
-                model_app_traffic=cell.model_app_traffic,
-            )
-            warm_state.harvest_machine(bank, alloc.machine)
-    return bank
+# Patched by name in benchmarks/e2e/layertrace.py; ROADMAP item 13 retires it.
+def build_warm_bank(cells: Sequence[SweepCell]) -> None:
+    """Never called."""
 
 
 def _run_cell_batch(
     cell_fn: Callable[[SweepCell], CellResult], cells: Sequence[SweepCell]
-) -> tuple[list[tuple[str, bool, CellResult | str]], tuple[int, int, int]]:
+) -> tuple[list[tuple[str, bool, CellResult | str]], int]:
     """Worker-side task: run one batch of cells, isolating per-cell failure.
 
-    Returns per-cell ``(cell_id, ok, result-or-error)`` outcomes plus this
-    task's warm-bank hit delta — one exploding cell never takes its batch
-    siblings down with it (only a *worker death* does, via the broken pool).
+    Returns per-cell ``(cell_id, ok, result-or-error)`` outcomes plus the
+    worker's shared schedule-memo hits during the task — one exploding cell
+    never takes its batch siblings down with it (only a *worker death*
+    does, via the broken pool).
     """
-    bank = warm_state.active_bank()
-    before = bank.counters() if bank is not None else (0, 0, 0)
+    before = trace_cache.SCHEDULE_MEMO.stats.hits
     outcomes: list[tuple[str, bool, CellResult | str]] = []
     for cell in cells:
         try:
             outcomes.append((cell.cell_id, True, _timed_cell(cell_fn, cell)))
         except Exception as exc:
             outcomes.append((cell.cell_id, False, f"{type(exc).__name__}: {exc}"))
-    after = bank.counters() if bank is not None else (0, 0, 0)
-    delta = (after[0] - before[0], after[1] - before[1], after[2] - before[2])
-    return outcomes, delta
+    return outcomes, trace_cache.SCHEDULE_MEMO.stats.hits - before
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +489,10 @@ class MatrixStats:
     """Executors built over the run: 1 on a clean sharded run, +1 per
     broken-pool rebuild, 0 when everything ran inline or was resumed."""
     warm: dict[str, int] = field(default_factory=dict)
-    """Warm-bank sizes (parent-side) and pooled worker hit counters
-    (``schedule_hits`` counts the workers' shared schedule-memo hits) — pure
-    measurement machinery, never merged into cell metrics."""
+    """``{"schedule_hits": n}``: the workers' shared schedule-memo hits,
+    summed over batches (0 inline) — measurement machinery, never merged
+    into cell metrics.  Read by ``benchmarks/e2e``; ROADMAP item 13 retires
+    it."""
     per_cell_wall: dict[str, float] = field(default_factory=dict)
     trace_cache: dict[str, float] = field(default_factory=dict)
     intern: dict[str, float] = field(default_factory=dict)
@@ -612,7 +532,7 @@ class _RoundOutcome:
     pool_broken: bool = False
     """A worker died outright this round; the caller must rebuild the pool
     before the next round (the only time a pool is ever rebuilt)."""
-    warm_hits: tuple[int, int, int] = (0, 0, 0)
+    schedule_hits: int = 0
     batches: int = 0
 
 
@@ -664,11 +584,10 @@ def _attempt_round(
                 submit_error = f"{type(exc).__name__}: {exc}"
         for cell in batch:
             out.failed[cell.cell_id] = submit_error
-    warm = [0, 0, 0]
     for future in as_completed(futures):
         batch = futures[future]
         try:
-            outcomes, delta = future.result()
+            outcomes, schedule_hits = future.result()
         except Exception as exc:
             # Includes BrokenProcessPool: every batch in flight on a killed
             # pool lands here and is retried on the rebuilt pool.  Batches
@@ -679,7 +598,7 @@ def _attempt_round(
             for cell in batch:
                 out.failed[cell.cell_id] = error
             continue
-        warm = [a + b for a, b in zip(warm, delta)]
+        out.schedule_hits += schedule_hits
         batch_done: dict[str, CellResult] = {}
         for cell_id, ok, payload in outcomes:
             if ok:
@@ -689,7 +608,6 @@ def _attempt_round(
                 out.failed[cell_id] = payload
         if batch_done and on_batch is not None:
             on_batch(batch_done)
-    out.warm_hits = (warm[0], warm[1], warm[2])
     return out
 
 
@@ -703,7 +621,6 @@ def run_matrix(
     progress: Callable[[dict], None] | None = None,
     cell_fn: Callable[[SweepCell], CellResult] = run_cell,
     batch_size: int | None = None,
-    prewarm: bool = True,
 ) -> MatrixResult:
     """Shard ``cells`` across ``jobs`` workers with checkpoints and retry.
 
@@ -717,11 +634,7 @@ def run_matrix(
     * ``cell_fn`` must be picklable (a module-level function) when
       ``jobs > 1`` — injectable for fault-injection tests;
     * ``batch_size=None`` auto-sizes batches (:func:`auto_batch_size`),
-      ``1`` restores per-cell tasks; inline ``jobs <= 1`` runs ignore it;
-    * ``prewarm=True`` builds a :class:`~repro.sim.warm.WarmBank` in the
-      parent and installs it in every worker via the pool initializer
-      (fork-server).  Only the real ``run_cell`` is prewarmed — injected
-      ``cell_fn``s skip the bank automatically.
+      ``1`` restores per-cell tasks; inline ``jobs <= 1`` runs ignore it.
 
     One executor serves the whole run, surviving retry rounds; it is
     rebuilt only after a broken pool (a worker killed outright).
@@ -781,11 +694,8 @@ def run_matrix(
                 "total": stats.cells_total,
             })
 
-    bank: warm_state.WarmBank | None = None
-    if jobs > 1 and pending and prewarm and cell_fn is run_cell:
-        bank = build_warm_bank(pending)
     pool: ProcessPoolExecutor | None = None
-    warm_hits = [0, 0, 0]
+    schedule_hits = 0
     last_error: dict[str, str] = {}
     attempt = 0
     try:
@@ -804,7 +714,7 @@ def run_matrix(
                 pool = ProcessPoolExecutor(
                     max_workers=jobs,
                     initializer=_worker_init,
-                    initargs=(bank,),
+                    initargs=(None,),
                 )
                 stats.pools_created += 1
                 _emit(progress, {
@@ -817,7 +727,7 @@ def run_matrix(
                 pool=pool, batch_size=batch_size, on_batch=flush_batch,
             )
             stats.batches += round_out.batches
-            warm_hits = [a + b for a, b in zip(warm_hits, round_out.warm_hits)]
+            schedule_hits += round_out.schedule_hits
             if round_out.pool_broken and pool is not None:
                 pool.shutdown(wait=False, cancel_futures=True)
                 pool = None
@@ -835,11 +745,7 @@ def run_matrix(
     finally:
         if pool is not None:
             pool.shutdown()
-    if bank is not None:
-        stats.warm = bank.summary()
-        stats.warm["schedule_hits"] = warm_hits[0]
-        stats.warm["template_hits"] = warm_hits[1]
-        stats.warm["stream_hits"] = warm_hits[2]
+    stats.warm = {"schedule_hits": schedule_hits}
 
     quarantined = {cell.cell_id: last_error[cell.cell_id] for cell in pending}
     for cell_id, error in quarantined.items():

@@ -11,8 +11,7 @@ entry holds each shape's structure and its static columns, and each call
 only adds its latency column.  Any other trace is compiled on demand by
 :func:`compile_trace`, which the ablated schedule needs; a full schedule
 walks its uop objects instead, because behind the shared schedule memo a
-trace reaches the scheduler once per process.  Columns pickle with their
-trace into :class:`repro.sim.warm.WarmBank`.
+trace reaches the scheduler once per process.
 
 The dependence columns use CSR encoding: ``dep_indices[dep_indptr[i] :
 dep_indptr[i + 1]]`` are the source uop indices of uop ``i``.  Ablation
@@ -33,8 +32,7 @@ from array import array
 
 from repro.sim.uop import Tag, Trace, Uop, UopKind
 
-#: Kind codes, index == position in the column.  Order is part of the
-#: compiled representation (warm banks pickle columns), so append only.
+#: Kind codes, index == position in the column.
 KIND_ORDER = (
     UopKind.ALU,
     UopKind.LOAD,
@@ -94,23 +92,6 @@ class TraceColumns:
         #: OR of ``1 << tag_code`` over all uops — lets ablation skip the
         #: per-uop walk when no removed tag is present at all.
         self.tag_mask = tag_mask
-
-    def __reduce__(self):
-        # Explicit reduce keeps pickles (warm banks) stable against slot
-        # reordering.
-        return (
-            TraceColumns,
-            (
-                self.n,
-                self.kinds,
-                self.flags,
-                self.lats,
-                self.dep_indptr,
-                self.dep_indices,
-                self.tags,
-                self.tag_mask,
-            ),
-        )
 
 
 def compile_trace(trace: Trace) -> TraceColumns:
@@ -308,10 +289,9 @@ class StructBuilder:
 class StructTrace(Trace):
     """A twin-materialized trace: columns and fingerprint are precomputed
     straight from the structure, and the ``Uop`` objects are rebuilt only if
-    something actually walks them (ablation rewrites, debugging, a warm bank
-    loaded by reference-engine code).  The columnar scheduler never does —
-    it reads ``_columns`` — so the common case skips object construction
-    entirely."""
+    something actually walks them (ablation rewrites, debugging).  The
+    columnar scheduler never does — it reads ``_columns`` — so the common
+    case skips object construction entirely."""
 
     def __init__(self, struct, addrs, lats):
         self._struct = struct
@@ -413,9 +393,9 @@ class StructStore:
     from the token stream on first sight.  Entries are pure functions of the
     key and their arrays are never mutated, so one process-wide store serves
     every machine and every allocator type (a structural difference between
-    allocators must therefore be a token, like jemalloc's ``size2index``),
-    and the compiled columns of the materialized traces ship across
-    processes in the warm bank.
+    allocators must therefore be a token, like jemalloc's ``size2index``).
+    A matrix worker keeps its store across cells, so a workload family's
+    later cells find every shape its first cell compiled.
     """
 
     __slots__ = ("_compiler", "_entries")

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.sim import trace_cache
-from repro.sim import warm as _warm
 from repro.sim.columns import (
     compile_trace,
     materialize_struct_columns,
@@ -163,8 +162,6 @@ class TimingModel:
         if result is None:
             result = schedule(*args)
             memo.put(memo_key, result)
-        else:
-            _warm.count_schedule_hit()
         return result
 
     def _schedule_ablated(self, trace: Trace, tags: frozenset) -> TimingResult:

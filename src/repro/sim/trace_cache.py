@@ -115,12 +115,6 @@ class TraceCache:
         """Drop all entries (stats are kept; they describe the lifetime)."""
         self._entries.clear()
 
-    def export_entries(self) -> dict[Hashable, Any]:
-        """A shallow copy of the live entries, for harvesting into a
-        :class:`repro.sim.warm.WarmBank`.  Values are the shared immutable
-        ``TimingResult`` objects — safe to hand to other caches."""
-        return dict(self._entries)
-
 
 #: The process-wide schedule memo (see module docstring).  Capacity bounds a
 #: very long process; a replay touches a few hundred keys.

@@ -61,7 +61,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.sim import warm as _warm
 from repro.sim.uop import FingerprintKey, Trace
 
 #: Bound on cached variants.  A macro replay generates a few hundred distinct
@@ -136,23 +135,15 @@ class TraceInterner:
                 self._check(trace, materialize, site)
             return trace
         self.stats.misses += 1
-        # A fork-server warm bank (repro.sim.warm) can satisfy the miss
-        # without materializing: the trace is fully determined by
-        # (site, tokens, latencies), so a banked instance is bit-equal to a
-        # fresh one.  The miss above is already counted — bank hits are
-        # telemetry-neutral.  Validate mode always materializes.
-        trace = None if self.validate else _warm.lookup_template(key)
-        if trace is None:
-            trace = materialize()
-            # Shared traces are trace-cache keys on every subsequent hit;
-            # cache the fingerprint hash once so lookups stop re-hashing
-            # the tuple.
-            trace._fp_key = FingerprintKey(trace._fingerprint)
-            if len(trace) != len(latencies):
-                raise AssertionError(
-                    f"intern site {site!r}: latency tuple has {len(latencies)} "
-                    f"entries for a {len(trace)}-uop trace"
-                )
+        trace = materialize()
+        # Shared traces are trace-cache keys on every subsequent hit; cache
+        # the fingerprint hash once so lookups stop re-hashing the tuple.
+        trace._fp_key = FingerprintKey(trace._fingerprint)
+        if len(trace) != len(latencies):
+            raise AssertionError(
+                f"intern site {site!r}: latency tuple has {len(latencies)} "
+                f"entries for a {len(trace)}-uop trace"
+            )
         self._variants[key] = trace
         if len(self._variants) > self.max_variants:
             self._variants.popitem(last=False)
@@ -174,12 +165,6 @@ class TraceInterner:
     def clear(self) -> None:
         """Drop all variants (stats describe the lifetime)."""
         self._variants.clear()
-
-    def export_templates(self) -> dict[tuple, Trace]:
-        """A shallow copy of the live variants, keyed by the
-        instance-independent ``(site, tokens, latencies)`` triple, for
-        harvesting into a :class:`repro.sim.warm.WarmBank`."""
-        return dict(self._variants)
 
 
 def interner_from_env() -> TraceInterner | None:

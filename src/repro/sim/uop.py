@@ -94,14 +94,6 @@ class FingerprintKey:
             return self.fp == other.fp
         return self.fp == other
 
-    def __reduce__(self):
-        # Re-derive the cached hash on unpickle: fingerprints contain
-        # strings, whose hashes are per-process under PYTHONHASHSEED, so a
-        # key shipped to a spawn-started worker (warm banks,
-        # repro.sim.warm) must not carry the parent's hash into the child's
-        # dicts.
-        return (FingerprintKey, (self.fp,))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FingerprintKey({self.fp!r})"
 

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.alloc.constants import AllocatorConfig
+from repro.alloc.context import Machine
 from repro.alloc.multithread import MultiThreadAllocator
 
 
@@ -51,6 +52,12 @@ class TestBasics:
     def test_zero_threads_rejected(self):
         with pytest.raises(ValueError):
             MultiThreadAllocator(0)
+
+    def test_coherent_rejects_a_machine(self):
+        """Coherent cores build their own machines, so a machine passed in
+        would be dropped without a word; it is refused instead."""
+        with pytest.raises(ValueError, match="coherent"):
+            MultiThreadAllocator(2, coherent=True, machine=Machine())
 
 
 class TestCrossThreadFrees:

@@ -1,14 +1,14 @@
-"""Differential tests for the batched fork-server harness.
+"""Differential tests for the batched parallel harness.
 
 ``tests/integration/test_parallel_differential.py`` pins the original
 contract — sharding is invisible to the science.  This suite pins the
-amortization layer added on top: cell batching, the fork-server warm bank,
-and one-pool-per-run must *also* be invisible:
+amortization layer added on top: cell batching and one-pool-per-run must
+*also* be invisible:
 
 * a ``jobs=N, batch_size=K`` run serializes to exactly the serial bytes,
-  under any ``PYTHONHASHSEED``;
-* the warm bank never perturbs a counter — per-cell summaries and metrics
-  are identical with and without a bank installed (telemetry neutrality);
+  under any ``PYTHONHASHSEED``, and its pooled metrics equal the serial
+  run's — a worker's schedule memo, warm from earlier cells, never
+  perturbs a counter;
 * checkpoint directories written by batched and unbatched runs resume each
   other freely;
 * one executor serves all retry rounds (rebuilt only after a worker is
@@ -16,9 +16,7 @@ and one-pool-per-run must *also* be invisible:
   in flight — completed, checkpointed batches never re-run.
 """
 
-import json
 import os
-import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -29,13 +27,10 @@ from repro.harness.parallel import (
     CellResult,
     SweepCell,
     build_matrix,
-    build_warm_bank,
     checkpoint_path,
     matrix_to_json,
-    run_cell,
     run_matrix,
 )
-from repro.sim import warm as warm_state
 
 MATRIX_WORKLOADS = ["tp_small", "gauss_free"]
 MATRIX_SIZES = (4, 32)
@@ -91,19 +86,12 @@ class TestBatchedByteIdentity:
             batched = run_matrix(cells, jobs=2, batch_size=batch_size)
             assert matrix_to_json(batched) == want, f"batch_size={batch_size}"
             # The pooled per-cell metrics registry must merge to the same
-            # payload too — the warm bank touches no per-cell counter.
+            # payload too — a warm worker memo touches no per-cell counter.
             assert batched.stats.metrics == serial.stats.metrics
-
-    def test_no_prewarm_matches_too(self):
-        cells = _smoke_cells()
-        assert matrix_to_json(run_matrix(cells, jobs=2, prewarm=False)) == (
-            matrix_to_json(run_matrix(cells, jobs=1))
-        )
 
     def test_batched_matrix_immune_to_hash_randomization(self):
         """A full batched pool run reproduces identical bytes under any
-        PYTHONHASHSEED — the warm bank travels between processes whose
-        string hashes disagree (FingerprintKey re-derives its hash)."""
+        PYTHONHASHSEED."""
         code = (
             "from repro.harness.parallel import build_matrix, matrix_to_json,"
             " run_matrix\n"
@@ -125,70 +113,6 @@ class TestBatchedByteIdentity:
             jobs=1,
         )
         assert outs == {matrix_to_json(serial) + "\n"}
-
-
-class TestWarmBank:
-    def test_bank_is_telemetry_neutral(self):
-        """Cell results with a bank installed are *equal* to cold ones —
-        summaries, metrics, manifests-independent fields, everything the
-        science reads — while the bank itself demonstrably hits."""
-        cells = _smoke_cells()
-        cold = [run_cell(c) for c in cells]
-        bank = build_warm_bank(cells)
-        warm_state.install_bank(bank)
-        try:
-            warmed = [run_cell(c) for c in cells]
-        finally:
-            warm_state.clear_bank()
-        for c, w in zip(cold, warmed):
-            assert c.summary == w.summary
-            assert c.metrics == w.metrics
-            assert (c.intern_hits, c.intern_misses) == (w.intern_hits, w.intern_misses)
-        assert bank.schedule_hits > 0
-        assert bank.template_hits > 0
-        assert bank.stream_hits > 0
-
-    def test_bank_pickle_roundtrip_still_hits(self):
-        """The spawn-safety path: a pickled+unpickled bank (new
-        FingerprintKey hashes) serves the same lookups."""
-        cells = _smoke_cells()[:1]
-        cold = run_cell(cells[0])
-        clone = pickle.loads(pickle.dumps(build_warm_bank(cells)))
-        warm_state.install_bank(clone)
-        try:
-            warmed = run_cell(cells[0])
-        finally:
-            warm_state.clear_bank()
-        assert warmed.summary == cold.summary
-        assert clone.schedule_hits > 0
-
-    def test_bank_crosses_hashseed_boundary(self, tmp_path):
-        """A bank built here and loaded in a process with a different
-        PYTHONHASHSEED must still hit and still change nothing."""
-        cell = SweepCell(workload="tp_small", cache_entries=8, num_ops=150, seed=2)
-        bank_file = tmp_path / "bank.pkl"
-        bank_file.write_bytes(pickle.dumps(build_warm_bank([cell])))
-        code = (
-            "import json, pickle\n"
-            "from repro.harness.parallel import SweepCell, run_cell\n"
-            "from repro.sim import warm\n"
-            f"bank = pickle.loads(open({str(bank_file)!r}, 'rb').read())\n"
-            "warm.install_bank(bank)\n"
-            "r = run_cell(SweepCell(workload='tp_small', cache_entries=8,"
-            " num_ops=150, seed=2))\n"
-            "print(json.dumps(r.summary, sort_keys=True))\n"
-            "assert bank.schedule_hits > 0, 'bank never hit'\n"
-        )
-        outs = set()
-        for hashseed in ("0", "31415"):
-            env = {**os.environ, "PYTHONHASHSEED": hashseed,
-                   "PYTHONPATH": _src_dir()}
-            proc = subprocess.run(
-                [sys.executable, "-c", code],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            outs.add(proc.stdout.strip())
-        assert outs == {json.dumps(run_cell(cell).summary, sort_keys=True)}
 
 
 class TestMixedCheckpointResume:

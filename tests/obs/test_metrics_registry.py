@@ -202,13 +202,15 @@ class TestMatrixPoolMerge:
 
 
 class TestWarmBridge:
-    """MatrixStats.warm (the warm-bank summary) stays out of cell metrics."""
+    """MatrixStats.warm (the workers' schedule-memo hits) stays out of cell
+    metrics."""
 
     def test_warm_telemetry_stays_out_of_pooled_cell_metrics(self):
-        """The pooled per-cell registry is byte-compared serial vs sharded;
-        a prewarmed jobs=2 run must therefore expose no warm_* series in
-        stats.metrics even though stats.warm is populated."""
+        """One family in one batch: the e32 cell's baseline schedules equal
+        the e4 cell's, so the worker's own memo must hit.  The pooled
+        per-cell registry is byte-compared serial vs sharded, so no warm_*
+        series may enter stats.metrics."""
         cells = build_matrix(["tp_small"], cache_sizes=(4, 32), num_ops=200)
-        sharded = run_matrix(cells, jobs=2)
-        assert sharded.stats.warm["schedules"] > 0
+        sharded = run_matrix(cells, jobs=2, batch_size=2)
+        assert sharded.stats.warm["schedule_hits"] > 0
         assert "warm_" not in json.dumps(sharded.stats.metrics)

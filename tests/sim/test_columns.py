@@ -1,21 +1,17 @@
 """Columnar compilation: exact equivalence with the object scheduler.
 
-Templates are harvested from a real replay (the interner's export), so the
-columns under test are the ones the engine actually walks — every uop
-kind, store-buffer flag, CSR dependence shape, and tag mix the allocators
-emit.  Each template must schedule to the identical
+Templates are harvested from a real replay (the interner's live
+variants), so the columns under test are the ones the engine actually
+walks — every uop kind, store-buffer flag, CSR dependence shape, and tag
+mix the allocators emit.  Each template must schedule to the identical
 :class:`~repro.sim.timing.TimingResult` through the flat arrays, with and
-without tag ablation, and the compiled columns must survive pickling
-(warm banks ship templates across processes).
+without tag ablation.
 """
-
-import pickle
 
 import pytest
 
 from repro.sim.columns import (
     columns_of,
-    compile_trace,
     removed_tag_mask,
     schedule_columns,
 )
@@ -35,7 +31,7 @@ def _templates():
         alloc = make_mallacc()
         wl = MACRO_WORKLOADS["400.perlbench"]
         run_workload(alloc, wl.ops(seed=7, num_ops=300), name=wl.name)
-    return alloc.machine, list(alloc.machine.interner.export_templates().values())
+    return alloc.machine, list(alloc.machine.interner._variants.values())
 
 
 MACHINE, TEMPLATES = _templates()
@@ -80,44 +76,3 @@ def test_ablated_schedule_matches_without_tags(tags):
         assert completion + timing.config.pipeline_overhead == ref.cycles
         assert tuple(issue) == ref.issue_times
         assert tuple(ready) == ref.ready_times
-
-
-class TestPickle:
-    def test_columns_roundtrip(self):
-        trace = TEMPLATES[0]
-        cols = columns_of(trace)
-        clone = pickle.loads(pickle.dumps(cols))
-        assert clone.n == cols.n
-        assert clone.kinds == cols.kinds
-        assert clone.dep_indptr == cols.dep_indptr
-        assert clone.dep_indices == cols.dep_indices
-        assert clone.tag_mask == cols.tag_mask
-        a = schedule_columns(cols, MACHINE.timing.config)
-        b = schedule_columns(clone, MACHINE.timing.config)
-        assert a == b
-
-    def test_template_pickles_with_columns(self):
-        """WarmBank pickles whole templates; compiled columns must ride
-        along and stay usable."""
-        trace = TEMPLATES[0]
-        compile_trace(trace)
-        assert getattr(trace, "_columns", None) is not None
-        clone = pickle.loads(pickle.dumps(trace))
-        cols = getattr(clone, "_columns", None)
-        assert cols is not None
-        a = schedule_columns(columns_of(trace), MACHINE.timing.config)
-        b = schedule_columns(cols, MACHINE.timing.config)
-        assert a == b
-
-    def test_uncompiled_template_pickles_clean(self):
-        """A template scheduled by walking its uops has no columns; it must
-        still pickle and compile on the other side."""
-        fresh = pickle.loads(pickle.dumps(TEMPLATES[0]))
-        fresh.__dict__.pop("_columns", None)
-        clone = pickle.loads(pickle.dumps(fresh))
-        assert getattr(clone, "_columns", None) is None
-        ref = MACHINE.timing._schedule(fresh)
-        completion, _, _ = schedule_columns(
-            columns_of(clone), MACHINE.timing.config
-        )
-        assert completion + MACHINE.timing.config.pipeline_overhead == ref.cycles

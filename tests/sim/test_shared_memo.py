@@ -52,7 +52,7 @@ def twin_traces():
         wl = MICROBENCHMARKS["tp_small"]
         run_workload(alloc, wl.ops(seed=3, num_ops=200), name=wl.name)
     traces = [
-        t for t in alloc.machine.interner.export_templates().values()
+        t for t in alloc.machine.interner._variants.values()
         if getattr(t, "_columns", None) is not None
     ]
     assert len(traces) >= 3
