@@ -1,15 +1,18 @@
 """Baseline vs Mallacc vs limit-study comparisons (Figures 13, 14, 18).
 
-``compare_workload`` replays one op stream three ways:
+``compare_cache_sizes`` replays one op stream three ways:
 
 * **baseline** — stock TCMalloc, with the limit-study ablation scheduled
   per call (the paper's optimistic upper bound: size-class, sampling and
   push/pop instructions "simply ignored by performance simulation");
 * **Mallacc** — :class:`~repro.core.accel_allocator.MallaccTCMalloc` with a
-  malloc cache of the requested size (the paper's headline uses 32 entries).
+  malloc cache of each requested size (the paper's headline uses 32
+  entries).
 
-Both runs see the identical op sequence on identically configured fresh
-machines, so the only difference is the accelerator.
+The baseline has no malloc cache, so it is replayed once and shared by
+every size; ``compare_workload`` is the one-size case.  All runs see the
+identical op sequence on identically configured fresh machines, so the
+only difference is the accelerator.
 """
 
 from __future__ import annotations
@@ -104,12 +107,8 @@ def make_baseline(
     )
 
 
-def make_mallacc(
-    cache_entries: int = 32,
-    config: AllocatorConfig | None = None,
-    cache_config: MallocCacheConfig | None = None,
-    allocator: str = "tcmalloc",
-) -> MallaccTCMalloc:
+def _comparable(allocator: str):
+    """The zoo entry of ``allocator``, which must have a Mallacc flavour."""
     from repro.alloc.zoo import get_allocator
 
     spec = get_allocator(allocator)
@@ -118,8 +117,17 @@ def make_mallacc(
             f"allocator {allocator!r} has no Mallacc flavour; "
             "baseline-vs-accelerated comparisons need a comparable allocator"
         )
+    return spec
+
+
+def make_mallacc(
+    cache_entries: int = 32,
+    config: AllocatorConfig | None = None,
+    cache_config: MallocCacheConfig | None = None,
+    allocator: str = "tcmalloc",
+) -> MallaccTCMalloc:
     cache_config = cache_config or MallocCacheConfig(num_entries=cache_entries)
-    return spec.mallacc(config=config, cache_config=cache_config)
+    return _comparable(allocator).mallacc(config=config, cache_config=cache_config)
 
 
 def compare_workload(
@@ -132,7 +140,9 @@ def compare_workload(
     model_app_traffic: bool = True,
     allocator: str = "tcmalloc",
 ) -> WorkloadComparison:
-    """Run one workload under baseline and Mallacc and compare.
+    """Run one workload under baseline and Mallacc and compare: the
+    one-config case of :func:`compare_cache_sizes`.  ``cache_config``, when
+    given, takes precedence over ``cache_entries``.
 
     Both runs get default machines, so trace-scheduling memoization and
     emission-template interning are on (``REPRO_TRACE_INTERN=0`` turns
@@ -141,35 +151,102 @@ def compare_workload(
     ``tests/integration/test_trace_cache_differential.py`` and
     ``tests/integration/test_hot_path_differential.py`` enforce it.
     """
-    ops = list(workload.ops(seed=seed, num_ops=num_ops))
-
-    baseline_alloc = make_baseline(config=config, allocator=allocator)
-    baseline = run_workload(
-        baseline_alloc, ops, name=workload.name, model_app_traffic=model_app_traffic
-    )
-
-    mallacc_alloc = make_mallacc(
-        cache_entries=cache_entries,
+    (comparison,) = compare_cache_sizes(
+        workload,
+        [cache_config or MallocCacheConfig(num_entries=cache_entries)],
+        num_ops=num_ops,
+        seed=seed,
         config=config,
-        cache_config=cache_config,
+        model_app_traffic=model_app_traffic,
         allocator=allocator,
     )
-    mallacc = run_workload(
-        mallacc_alloc, ops, name=workload.name, model_app_traffic=model_app_traffic
+    return comparison
+
+
+def compare_cache_sizes(
+    workload: Workload,
+    cache_configs: Sequence[MallocCacheConfig],
+    num_ops: int | None = None,
+    seed: int = 1,
+    config: AllocatorConfig | None = None,
+    model_app_traffic: bool = True,
+    allocator: str = "tcmalloc",
+) -> list[WorkloadComparison]:
+    """Compare baseline and Mallacc at each malloc-cache configuration.
+
+    The stock allocator has no malloc cache, so its replay is the same at
+    every configuration: the op stream is generated once, the baseline is
+    replayed once, and Mallacc once per entry of ``cache_configs``.  The
+    comparisons equal per-config :func:`compare_workload` calls.
+    """
+    family = CacheSizeFamily(
+        workload,
+        num_ops=num_ops,
+        seed=seed,
+        config=config,
+        model_app_traffic=model_app_traffic,
+        allocator=allocator,
+    )
+    return [family.compare(cache_config) for cache_config in cache_configs]
+
+
+@dataclass(eq=False)
+class CacheSizeFamily:
+    """One workload's op stream and baseline replay, shared by Mallacc
+    comparisons at any number of malloc-cache configurations.
+
+    Both are built by the first :meth:`compare` (a failure there raises
+    and the next call tries again).  Each comparison holds its own shallow
+    copy of the baseline :class:`RunResult`, whose manifest names that
+    comparison's cache size; the call records are shared and read-only.
+    """
+
+    workload: Workload
+    num_ops: int | None = None
+    seed: int = 1
+    config: AllocatorConfig | None = None
+    model_app_traffic: bool = True
+    allocator: str = "tcmalloc"
+    _replayed: tuple[list[Op], RunResult] | None = field(
+        default=None, init=False, repr=False
     )
 
-    # The runner cannot know the workload seed or cache size; enrich the
-    # provenance records here where both are in scope.
-    _enrich_manifests(
-        (baseline, mallacc), seed=seed, cache_entries=cache_entries,
-        allocator=allocator,
-    )
-    return WorkloadComparison(
-        workload=workload.name,
-        baseline=baseline,
-        mallacc=mallacc,
-        paper=dict(workload.paper),
-    )
+    def __post_init__(self) -> None:
+        _comparable(self.allocator)
+
+    def _replay(self, alloc: TCMalloc, ops: Sequence[Op]) -> RunResult:
+        return run_workload(
+            alloc, ops, name=self.workload.name,
+            model_app_traffic=self.model_app_traffic,
+        )
+
+    def _baseline(self) -> tuple[list[Op], RunResult]:
+        if self._replayed is None:
+            ops = list(self.workload.ops(seed=self.seed, num_ops=self.num_ops))
+            alloc = make_baseline(config=self.config, allocator=self.allocator)
+            self._replayed = ops, self._replay(alloc, ops)
+        return self._replayed
+
+    def compare(self, cache_config: MallocCacheConfig) -> WorkloadComparison:
+        """Replay Mallacc with ``cache_config`` against the shared baseline."""
+        ops, shared = self._baseline()
+        alloc = make_mallacc(
+            config=self.config, cache_config=cache_config, allocator=self.allocator
+        )
+        mallacc = self._replay(alloc, ops)
+        baseline = replace(shared)
+        # The runner cannot know the workload seed or cache size; enrich the
+        # provenance records here where both are in scope.
+        _enrich_manifests(
+            (baseline, mallacc), seed=self.seed,
+            cache_entries=cache_config.num_entries, allocator=self.allocator,
+        )
+        return WorkloadComparison(
+            workload=self.workload.name,
+            baseline=baseline,
+            mallacc=mallacc,
+            paper=dict(self.workload.paper),
+        )
 
 
 def _enrich_manifests(
@@ -369,6 +446,7 @@ def compare_workload_sampled(
     ``list(workload.ops(seed=seed, num_ops=num_ops))`` for the result to be
     meaningful.
     """
+    _comparable(allocator)
     ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
     cfg = sampling or SamplingConfig()
 
@@ -388,14 +466,6 @@ def compare_workload_sampled(
             config=config,
             cache_config=cache_config,
             allocator=allocator,
-        )
-
-    from repro.alloc.zoo import get_allocator
-
-    if get_allocator(allocator).mallacc is None:
-        raise ValueError(
-            f"allocator {allocator!r} has no Mallacc flavour; "
-            "baseline-vs-accelerated comparisons need a comparable allocator"
         )
 
     target_ci = cfg.target_ci

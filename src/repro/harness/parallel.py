@@ -1,10 +1,10 @@
 """Parallel, fault-tolerant experiment harness.
 
 Regenerating the paper's full evaluation replays every (workload ×
-allocator-config × cache-size) cell through
-:func:`~repro.harness.experiments.compare_workload` — on a Python timing
-model, strictly serial replay is the dominant wall-clock cost.  This module
-shards that experiment matrix across a ``multiprocessing`` worker pool:
+allocator-config × cache-size) cell through the exact comparison of
+:mod:`repro.harness.experiments` — on a Python timing model, strictly
+serial replay is the dominant wall-clock cost.  This module shards that
+experiment matrix across a ``multiprocessing`` worker pool:
 
 * **determinism** — every cell carries its own seed and builds fresh
   machines on an identical op stream, so sharded results are byte-identical
@@ -25,7 +25,7 @@ shards that experiment matrix across a ``multiprocessing`` worker pool:
   per-cell wall time, and the pooled trace-cache hit rate via
   :func:`~repro.harness.metrics.trace_cache_summary`.
 
-Sharding is amortized two ways so ``jobs > 1`` wins even on the small
+Sharding is amortized three ways so ``jobs > 1`` wins even on the small
 cells sampled methodologies produce (SMARTS-style interval plans make
 cells *cheaper*, which makes per-task overhead *relatively* costlier):
 
@@ -42,7 +42,14 @@ cells *cheaper*, which makes per-task overhead *relatively* costlier):
   reused across retry rounds; it is rebuilt only after a
   ``BrokenProcessPool`` (a worker killed outright), and checkpoint writes
   are group-committed per completed batch instead of one fsync-ish round
-  trip per cell.
+  trip per cell;
+* **one baseline per cache-size family** — the exact cells of one batch
+  (or inline round) that differ only in ``cache_entries`` share one op
+  stream and one stock-allocator replay
+  (:class:`~repro.harness.experiments.CacheSizeFamily`), since the
+  baseline has no malloc cache; each cell replays only Mallacc.  The
+  family's first cell is charged the shared work, and the family is
+  dropped after its last cell.
 
 Entry points: ``build_matrix`` to enumerate cells, ``run_matrix`` to
 execute them, ``matrix_figure_data`` for the canonical (order-stable,
@@ -60,13 +67,16 @@ import os
 import tempfile
 import time
 import zlib
+from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
+from repro.core.malloc_cache import MallocCacheConfig
 from repro.harness.experiments import (
-    compare_workload,
+    CacheSizeFamily,
     compare_workload_sampled,
     summarize_comparison,
     summarize_sampled_comparison,
@@ -242,7 +252,21 @@ class CellResult:
 
 
 def run_cell(cell: SweepCell) -> CellResult:
-    """Execute one cell on fresh machines (the worker-side entry point)."""
+    """Execute one cell on fresh machines, replaying its op stream and
+    baseline for it alone (a batch shares them across a cache-size family:
+    :func:`_run_cells`)."""
+    return _run_cell(cell, {})
+
+
+def _family_key(cell: SweepCell) -> SweepCell:
+    """The cache-size family of an exact cell: exact cells that differ only
+    in ``cache_entries`` replay the same op stream and the same baseline."""
+    return replace(cell, cache_entries=0)
+
+
+def _run_cell(cell: SweepCell, families: dict[SweepCell, CacheSizeFamily]) -> CellResult:
+    """:func:`run_cell`, taking an exact cell's op stream and baseline
+    replay from its entry in ``families`` (added if absent)."""
     from repro.workloads import MACRO_WORKLOADS, MICROBENCHMARKS
 
     registry = {**MICROBENCHMARKS, **MACRO_WORKLOADS}
@@ -264,13 +288,17 @@ def run_cell(cell: SweepCell) -> CellResult:
         detailed = comparison.baseline.detailed_calls + comparison.mallacc.detailed_calls
         warming = comparison.baseline.warming_calls + comparison.mallacc.warming_calls
     else:
-        comparison = compare_workload(
-            workload,
-            num_ops=cell.num_ops,
-            seed=cell.seed,
-            cache_entries=cell.cache_entries,
-            model_app_traffic=cell.model_app_traffic,
-            allocator=cell.allocator,
+        key = _family_key(cell)
+        if key not in families:
+            families[key] = CacheSizeFamily(
+                workload,
+                num_ops=cell.num_ops,
+                seed=cell.seed,
+                model_app_traffic=cell.model_app_traffic,
+                allocator=cell.allocator,
+            )
+        comparison = families[key].compare(
+            MallocCacheConfig(num_entries=cell.cache_entries)
         )
         summary = summarize_comparison(comparison)
         detailed = warming = 0
@@ -295,13 +323,49 @@ def run_cell(cell: SweepCell) -> CellResult:
     )
 
 
-def _timed_cell(cell_fn: Callable[[SweepCell], CellResult], cell: SweepCell) -> CellResult:
+def _outcome(
+    cell_fn: Callable[[SweepCell], CellResult], cell: SweepCell
+) -> tuple[str, bool, CellResult | str]:
+    """One cell's ``(cell_id, ok, result-or-error)``, the result carrying
+    the cell's wall time."""
     t0 = time.perf_counter()
-    result = cell_fn(cell)
-    result.wall_seconds = time.perf_counter() - t0
-    if result.manifest:
-        result.manifest["wall_seconds"] = result.wall_seconds
-    return result
+    try:
+        result = cell_fn(cell)
+        result.wall_seconds = time.perf_counter() - t0
+        if result.manifest:
+            result.manifest["wall_seconds"] = result.wall_seconds
+    except Exception as exc:
+        return cell.cell_id, False, f"{type(exc).__name__}: {exc}"
+    return cell.cell_id, True, result
+
+
+def _run_cells(
+    cell_fn: Callable[[SweepCell], CellResult], cells: Sequence[SweepCell]
+) -> Iterator[tuple[str, bool, CellResult | str]]:
+    """Run ``cells`` in order, yielding each one's :func:`_outcome`: an
+    exploding cell fails alone.
+
+    With :func:`run_cell`, the exact cells of one cache-size family share
+    one op stream and one baseline replay.  The family's first cell builds
+    them, and its wall time includes them; they are dropped after the
+    family's last cell here, so nothing outlives this call.  A baseline
+    that raises fails each cell of its family in turn.  Any other
+    ``cell_fn`` runs cell by cell.
+    """
+    if cell_fn is not run_cell:
+        for cell in cells:
+            yield _outcome(cell_fn, cell)
+        return
+    families: dict[SweepCell, CacheSizeFamily] = {}
+    left = Counter(_family_key(cell) for cell in cells)
+    run = partial(_run_cell, families=families)
+    for cell in cells:
+        outcome = _outcome(run, cell)
+        key = _family_key(cell)
+        left[key] -= 1
+        if not left[key]:
+            families.pop(key, None)
+        yield outcome
 
 
 # ---------------------------------------------------------------------------
@@ -414,10 +478,11 @@ def plan_batches(
     Cells are grouped by workload family first (preserving matrix order
     within each family), then chunked to ``batch_size``: cells of one
     family share a seed (:func:`derive_seed`) and therefore one op stream,
-    so they schedule mostly the same traces, and a family batch pays for
-    each schedule and twin shape once, in the worker's process-wide
-    schedule memo and structure store.  Execution order never affects
-    results (cells are hermetic); only task-overhead amortization does.
+    so a family batch generates that stream and replays the baseline once
+    (:func:`_run_cells`), and pays for each schedule and twin shape once,
+    in the worker's process-wide schedule memo and structure store.
+    Execution order never affects results (cells are hermetic); only
+    amortization does.
     """
     if batch_size is None:
         batch_size = auto_batch_size(len(pending), jobs)
@@ -449,7 +514,7 @@ def build_warm_bank(cells: Sequence[SweepCell]) -> None:
 def _run_cell_batch(
     cell_fn: Callable[[SweepCell], CellResult], cells: Sequence[SweepCell]
 ) -> tuple[list[tuple[str, bool, CellResult | str]], int]:
-    """Worker-side task: run one batch of cells, isolating per-cell failure.
+    """Worker-side task: run one batch of cells (:func:`_run_cells`).
 
     Returns per-cell ``(cell_id, ok, result-or-error)`` outcomes plus the
     worker's shared schedule-memo hits during the task — one exploding cell
@@ -457,12 +522,7 @@ def _run_cell_batch(
     does, via the broken pool).
     """
     before = trace_cache.SCHEDULE_MEMO.stats.hits
-    outcomes: list[tuple[str, bool, CellResult | str]] = []
-    for cell in cells:
-        try:
-            outcomes.append((cell.cell_id, True, _timed_cell(cell_fn, cell)))
-        except Exception as exc:
-            outcomes.append((cell.cell_id, False, f"{type(exc).__name__}: {exc}"))
+    outcomes = list(_run_cells(cell_fn, cells))
     return outcomes, trace_cache.SCHEDULE_MEMO.stats.hits - before
 
 
@@ -556,16 +616,14 @@ def _attempt_round(
     """
     out = _RoundOutcome()
     if jobs <= 1:
-        for cell in pending:
+        for cell_id, ok, payload in _run_cells(cell_fn, pending):
             out.batches += 1
-            try:
-                result = _timed_cell(cell_fn, cell)
-            except Exception as exc:
-                out.failed[cell.cell_id] = f"{type(exc).__name__}: {exc}"
+            if not ok:
+                out.failed[cell_id] = payload
                 continue
-            out.done[cell.cell_id] = result
+            out.done[cell_id] = payload
             if on_batch is not None:
-                on_batch({cell.cell_id: result})
+                on_batch({cell_id: payload})
         return out
 
     if pool is None:  # pragma: no cover - caller contract

@@ -5,14 +5,18 @@ suite and observes: small caches *hurt* (fallback path plus the wasted
 lookup), speedup jumps sharply once the cache covers a strided benchmark's
 class count, Gaussian benchmarks climb gradually (size-class locality), and
 ``tp`` can *lose* performance to prefetch blocking in tight loops.
+
+Every point replays the same op stream, and the stock baseline has no
+malloc cache, so an exact sweep replays the baseline once and Mallacc once
+per size (:func:`~repro.harness.experiments.compare_cache_sizes`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.malloc_cache import MallocCacheConfig
-from repro.harness.experiments import compare_workload, compare_workload_sampled
+from repro.harness.experiments import compare_cache_sizes, compare_workload_sampled
 from repro.sim.sampling import SamplingConfig
 from repro.workloads.base import Workload
 
@@ -65,50 +69,51 @@ def sweep_cache_sizes(
 ) -> SweepResult:
     """Run one workload across malloc-cache sizes.
 
+    Each point's cache is ``cache_config_base`` (default
+    :class:`MallocCacheConfig`) with ``num_entries`` set to the size.  The
+    serial exact path is one :func:`compare_cache_sizes` call: the op
+    stream is generated and the stock baseline replayed once, then Mallacc
+    once per size.
+
     ``jobs > 1`` shards the sweep points across worker processes via
-    :mod:`repro.harness.parallel` (each point builds fresh machines on the
-    identical op stream, so the curve is byte-identical to the serial
-    loop); ``checkpoint_dir``/``resume`` make the sweep interruptible and
-    ``batch_size`` forwards to :func:`repro.harness.parallel.run_matrix`
-    (``None`` auto-sizes batches).
-    Sharding requires the default cache-config base — non-default bases are
-    not cell-serializable and fall back to the serial path.
+    :mod:`repro.harness.parallel`; a worker batch holding several points
+    shares one stream and baseline the same way, so the curve is
+    byte-identical to the serial one.  ``checkpoint_dir``/``resume`` make
+    the sweep interruptible and ``batch_size`` forwards to
+    :func:`repro.harness.parallel.run_matrix` (``None`` auto-sizes
+    batches).  Sharding requires the default cache-config base — non-default
+    bases are not cell-serializable and fall back to the serial path.
 
     ``sampling`` switches every point to the interval-sampling engine
-    (serial only): the curve becomes an estimate, and the result carries
-    per-point confidence bounds in the ``*_cis`` lists.
+    (serial only, one sampled comparison per point): the curve becomes an
+    estimate, and the result carries per-point confidence bounds in the
+    ``*_cis`` lists.
     """
-    base = cache_config_base or MallocCacheConfig()
     if jobs > 1 and cache_config_base is None and sampling is None:
         return _sweep_parallel(
             workload, sizes, num_ops, seed, jobs, checkpoint_dir, resume,
             batch_size=batch_size,
         )
+    base = cache_config_base or MallocCacheConfig()
+    configs = [replace(base, num_entries=size) for size in sizes]
     result = SweepResult(
         workload=workload.name, sizes=tuple(sizes), sampled=sampling is not None
     )
-    for size in sizes:
-        cfg = MallocCacheConfig(
-            num_entries=size,
-            index_keyed=base.index_keyed,
-            eviction=base.eviction,
-            cache_next=base.cache_next,
-            prefetch_blocking=base.prefetch_blocking,
-            base_lookup_latency=base.base_lookup_latency,
-            list_op_latency=base.list_op_latency,
-        )
-        if sampling is not None:
-            comparison = compare_workload_sampled(
+    if sampling is None:
+        comparisons = compare_cache_sizes(workload, configs, num_ops=num_ops, seed=seed)
+    else:
+        comparisons = (
+            compare_workload_sampled(
                 workload, num_ops=num_ops, seed=seed, cache_config=cfg,
                 sampling=sampling,
             )
+            for cfg in configs
+        )
+    for comparison in comparisons:
+        if sampling is not None:
             result.malloc_speedup_cis.append(comparison.ci("malloc_improvement"))
             result.allocator_speedup_cis.append(
                 comparison.ci("allocator_improvement")
-            )
-        else:
-            comparison = compare_workload(
-                workload, num_ops=num_ops, seed=seed, cache_config=cfg
             )
         result.malloc_speedups.append(comparison.malloc_improvement)
         result.allocator_speedups.append(comparison.allocator_improvement)

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.core.malloc_cache import MallocCacheConfig
+from repro.harness import experiments
 from repro.harness.experiments import (
     LIMIT_ABLATION,
     WorkloadComparison,
+    compare_cache_sizes,
     compare_workload,
     geomean,
     make_baseline,
     make_mallacc,
+    summarize_comparison,
 )
 from repro.harness.runner import RunResult
 from repro.workloads import MICROBENCHMARKS
@@ -89,3 +93,50 @@ class TestEndToEndComparison:
         a = compare_workload(MICROBENCHMARKS["tp_small"], num_ops=300, seed=4)
         b = compare_workload(MICROBENCHMARKS["tp_small"], num_ops=300, seed=4)
         assert a.allocator_improvement == pytest.approx(b.allocator_improvement)
+
+
+class TestCompareCacheSizes:
+    SIZES = (4, 8, 32)
+
+    def _sweep(self):
+        return compare_cache_sizes(
+            MICROBENCHMARKS["tp_small"],
+            [MallocCacheConfig(num_entries=n) for n in self.SIZES],
+            num_ops=300, seed=4,
+        )
+
+    def test_matches_per_size_compare_workload(self):
+        for size, shared in zip(self.SIZES, self._sweep()):
+            alone = compare_workload(
+                MICROBENCHMARKS["tp_small"], num_ops=300, seed=4, cache_entries=size
+            )
+            assert summarize_comparison(shared) == summarize_comparison(alone)
+
+    def test_manifests_name_their_own_cache_size(self):
+        for size, c in zip(self.SIZES, self._sweep()):
+            for side, result in (("baseline", c.baseline), ("mallacc", c.mallacc)):
+                extra = dict(result.manifest.extra)
+                assert extra["alloc"] == side
+                assert extra["cache_entries"] == str(size)
+
+    def test_baseline_replayed_once_and_copied(self):
+        first, *rest = self._sweep()
+        for c in rest:
+            assert c.baseline is not first.baseline
+            assert c.baseline.records is first.baseline.records
+
+    def test_cache_config_sets_the_manifest_size(self):
+        c = compare_workload(
+            MICROBENCHMARKS["tp_small"], num_ops=100,
+            cache_config=MallocCacheConfig(num_entries=8),
+        )
+        assert dict(c.mallacc.manifest.extra)["cache_entries"] == "8"
+        assert dict(c.baseline.manifest.extra)["cache_entries"] == "8"
+
+    def test_incomparable_allocator_rejected_before_any_replay(self, monkeypatch):
+        def replay(*args, **kwargs):
+            raise AssertionError("replayed a baseline it cannot compare")
+
+        monkeypatch.setattr(experiments, "run_workload", replay)
+        with pytest.raises(ValueError, match="no Mallacc flavour"):
+            compare_workload(MICROBENCHMARKS["tp_small"], num_ops=50, allocator="hoard")

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.malloc_cache import MallocCacheConfig
+from repro.harness.experiments import compare_workload
 from repro.harness.figures import (
     render_bar_chart,
     render_histogram,
@@ -54,6 +56,21 @@ class TestSweep:
             MICROBENCHMARKS["tp_small"], sizes=(2, 16), num_ops=600
         )
         assert result.malloc_speedups[1] > result.malloc_speedups[0]
+
+    def test_sweep_keeps_every_base_field(self):
+        """Each point is the base config with only its size changed: a
+        ``fill_rule="paper"`` base must reach the Mallacc replay."""
+        base = MallocCacheConfig(fill_rule="paper")
+        result = sweep_cache_sizes(
+            MICROBENCHMARKS["tp"], sizes=(16,), num_ops=400, seed=3,
+            cache_config_base=base,
+        )
+        direct = compare_workload(
+            MICROBENCHMARKS["tp"], num_ops=400, seed=3,
+            cache_config=MallocCacheConfig(num_entries=16, fill_rule="paper"),
+        )
+        assert result.malloc_speedups == [direct.malloc_improvement]
+        assert result.allocator_speedups == [direct.allocator_improvement]
 
     def test_inflection_detection(self):
         r = SweepResult(

@@ -7,10 +7,12 @@ checkpoints, retry/backoff, quarantine, and the progress stream.
 """
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.parallel import (
     MAX_BATCH_CELLS,
     CellResult,
@@ -23,6 +25,7 @@ from repro.harness.parallel import (
     matrix_figure_data,
     matrix_to_json,
     plan_batches,
+    run_cell,
     run_matrix,
     write_checkpoint,
     write_checkpoints,
@@ -325,6 +328,91 @@ class TestRunMatrixInProcess:
         done = [e for e in events if e["event"] == "cell_done"]
         assert all("wall_seconds" in e for e in done)
         assert [e["done"] for e in done] == [1, 2, 3]
+
+
+FAMILY = build_matrix(["tp_small"], cache_sizes=(4, 8, 32), num_ops=60)
+
+
+class TestCacheSizeFamilies:
+    """Exact cells that differ only in ``cache_entries`` share one op
+    stream and one baseline replay within a batch or inline round."""
+
+    def _spy_baseline(self, monkeypatch, before=lambda: None):
+        calls = []
+        real = experiments.make_baseline
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            before()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_baseline", spy)
+        return calls
+
+    def test_family_replays_one_baseline(self, monkeypatch):
+        calls = self._spy_baseline(monkeypatch)
+        result = run_matrix(FAMILY, jobs=1)
+        assert len(result.results) == 3
+        assert len(calls) == 1
+
+    def test_each_family_replays_its_own_baseline(self, monkeypatch):
+        calls = self._spy_baseline(monkeypatch)
+        other = [replace(cell, seed=cell.seed + 1) for cell in FAMILY[:2]]
+        run_matrix(FAMILY + other, jobs=1)
+        assert len(calls) == 2
+
+    def test_sampled_cells_replay_their_own_baselines(self, monkeypatch):
+        calls = self._spy_baseline(monkeypatch)
+        cells = [replace(cell, sampled=True, interval_ops=20, stride=2)
+                 for cell in FAMILY[:2]]
+        # A sampled comparison also builds baselines for its plan probe, so
+        # compare against one cell alone rather than pin a count.
+        run_matrix(cells[:1], jobs=1)
+        alone = len(calls)
+        calls.clear()
+        run_matrix(cells, jobs=1)
+        assert len(calls) == 2 * alone
+
+    def test_first_cell_is_charged_the_shared_baseline(self, monkeypatch):
+        self._spy_baseline(monkeypatch, before=lambda: time.sleep(0.5))
+        walls = run_matrix(FAMILY, jobs=1).stats.per_cell_wall
+        first, *rest = (walls[cell.cell_id] for cell in FAMILY)
+        assert first >= 0.5
+        assert all(wall < 0.5 for wall in rest)
+
+    def test_failing_baseline_fails_the_whole_family(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("no baseline")
+
+        monkeypatch.setattr(experiments, "make_baseline", broken)
+        result = run_matrix(FAMILY, jobs=1, max_retries=0)
+        assert result.results == {}
+        assert set(result.quarantined.values()) == {"RuntimeError: no baseline"}
+        assert list(result.quarantined) == [cell.cell_id for cell in FAMILY]
+
+    def test_failing_mallacc_fails_only_its_cell(self, monkeypatch):
+        real = experiments.make_mallacc
+
+        def broken_at_8(*args, cache_config=None, **kwargs):
+            if cache_config.num_entries == 8:
+                raise RuntimeError("no mallacc")
+            return real(*args, cache_config=cache_config, **kwargs)
+
+        alone = run_matrix(FAMILY, jobs=1)
+        monkeypatch.setattr(experiments, "make_mallacc", broken_at_8)
+        result = run_matrix(FAMILY, jobs=1, max_retries=0)
+        assert result.quarantined == {FAMILY[1].cell_id: "RuntimeError: no mallacc"}
+        for cell in (FAMILY[0], FAMILY[2]):
+            assert (
+                result.results[cell.cell_id].summary
+                == alone.results[cell.cell_id].summary
+            )
+
+    def test_other_cell_functions_run_cell_by_cell(self, monkeypatch):
+        calls = self._spy_baseline(monkeypatch)
+        result = run_matrix(FAMILY, jobs=1, cell_fn=lambda cell: run_cell(cell))
+        assert len(result.results) == 3
+        assert len(calls) == 3
 
 
 class TestFigureData:

@@ -15,12 +15,14 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro
 
+from repro.harness.experiments import compare_workload, summarize_comparison
 from repro.harness.parallel import (
     CellResult,
     SweepCell,
@@ -120,12 +122,24 @@ class TestSerialParallelIdentity:
         assert outs == {json.dumps(run_cell(cell).summary, sort_keys=True)}
 
     def test_single_cell_matches_direct_compare(self):
-        """run_cell is just compare_workload on fresh machines — no hidden
-        state leaks between cells in either direction."""
+        """run_cell is just compare_workload on fresh machines.  Inside a
+        cache-size family a cell shares the family's op stream and baseline
+        replay, both pure functions of the cell minus its cache size, so it
+        equals the cell run alone: no simulated state leaks between cells
+        in either direction."""
         cell = SweepCell(workload="tp_small", cache_entries=8, num_ops=150, seed=2)
         alone = run_cell(cell)
+        direct = compare_workload(
+            MICROBENCHMARKS["tp_small"], num_ops=150, seed=2, cache_entries=8
+        )
+        assert alone.summary == summarize_comparison(direct)
         in_matrix = run_matrix([cell], jobs=1).results[cell.cell_id]
         assert alone.summary == in_matrix.summary
+        family = [replace(cell, cache_entries=size) for size in (4, 8, 32)]
+        for jobs in (1, 2):
+            in_family = run_matrix(family, jobs=jobs).results[cell.cell_id]
+            assert in_family.summary == alone.summary
+            assert in_family.metrics == alone.metrics
 
 
 class TestWorkerFaults:
