@@ -114,7 +114,15 @@ class MallocCacheStats:
 
 
 class MallocCache:
-    """Functional model of the malloc cache."""
+    """Functional model of the malloc cache.
+
+    Capacity is read only to build the entries and to pick a victim when
+    none is invalid.  A cache that never evicted or flushed therefore
+    behaved like any larger one: :meth:`min_equivalent_entries` reports the
+    smallest such capacity, and a cache-size sweep replays Mallacc once for
+    every size that history covers
+    (:class:`~repro.harness.experiments.CacheSizeFamily`).
+    """
 
     def __init__(self, config: MallocCacheConfig | None = None) -> None:
         self.config = config or MallocCacheConfig()
@@ -324,6 +332,21 @@ class MallocCache:
             entry.head_unconfirmed = False
             entry.prefetch_ready = 0
         self.stats.flushes += 1
+
+    def min_equivalent_entries(self) -> int | None:
+        """The smallest capacity that would have run this cache's history
+        identically, or None if its own capacity mattered.
+
+        Inserts take the first invalid entry, lookups skip invalid ones, and
+        LRU/FIFO stamps come from counters, so until the first eviction
+        capacity is never read.  Only a flush invalidates an entry, so
+        without one the valid count never fell and is its peak: every cache
+        of at least that many entries returns the same values and leaves the
+        same state in the same slots.
+        """
+        if self.stats.evictions or self.stats.flushes:
+            return None
+        return sum(1 for entry in self.entries if entry.valid)
 
     def check_invariants(self, memory) -> None:
         """Test hook: every valid entry with Head+Next must satisfy

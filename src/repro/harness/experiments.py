@@ -10,9 +10,12 @@
   entries).
 
 The baseline has no malloc cache, so it is replayed once and shared by
-every size; ``compare_workload`` is the one-size case.  All runs see the
-identical op sequence on identically configured fresh machines, so the
-only difference is the accelerator.
+every size.  A Mallacc replay whose cache never evicted or flushed also
+covers every larger size, which then shares it
+(:meth:`~repro.core.malloc_cache.MallocCache.min_equivalent_entries`);
+``compare_workload`` is the one-size case.  All runs see the identical op
+sequence on identically configured fresh machines, so the only difference
+is the accelerator.
 """
 
 from __future__ import annotations
@@ -175,8 +178,10 @@ def compare_cache_sizes(
     """Compare baseline and Mallacc at each malloc-cache configuration.
 
     The stock allocator has no malloc cache, so its replay is the same at
-    every configuration: the op stream is generated once, the baseline is
-    replayed once, and Mallacc once per entry of ``cache_configs``.  The
+    every configuration: the op stream is generated once and the baseline
+    is replayed once.  Mallacc is replayed once per distinct malloc cache:
+    a configuration that an earlier replay covers (same fields but a size
+    that replay never filled) shares it (:class:`CacheSizeFamily`).  The
     comparisons equal per-config :func:`compare_workload` calls.
     """
     family = CacheSizeFamily(
@@ -193,12 +198,19 @@ def compare_cache_sizes(
 @dataclass(eq=False)
 class CacheSizeFamily:
     """One workload's op stream and baseline replay, shared by Mallacc
-    comparisons at any number of malloc-cache configurations.
+    comparisons at any number of malloc-cache configurations, and each
+    Mallacc replay shared by every configuration it covers.
 
     Both are built by the first :meth:`compare` (a failure there raises
-    and the next call tries again).  Each comparison holds its own shallow
-    copy of the baseline :class:`RunResult`, whose manifest names that
-    comparison's cache size; the call records are shared and read-only.
+    and the next call tries again).  Each Mallacc replay whose cache never
+    evicted or flushed is kept, with its
+    :meth:`~repro.core.malloc_cache.MallocCache.min_equivalent_entries`, for
+    the family's lifetime.  A later configuration equal to a kept one in
+    every field but ``num_entries``, with at least that many entries, would
+    replay it exactly, so it reuses that replay.  A Mallacc replay that
+    raises keeps nothing.  Each comparison holds its own shallow copies of
+    both :class:`RunResult` objects, whose manifests name that comparison's
+    cache size; the call records are shared and read-only.
     """
 
     workload: Workload
@@ -209,6 +221,9 @@ class CacheSizeFamily:
     allocator: str = "tcmalloc"
     _replayed: tuple[list[Op], RunResult] | None = field(
         default=None, init=False, repr=False
+    )
+    _kept: list[tuple[MallocCacheConfig, int, RunResult]] = field(
+        default_factory=list, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
@@ -227,13 +242,27 @@ class CacheSizeFamily:
             self._replayed = ops, self._replay(alloc, ops)
         return self._replayed
 
-    def compare(self, cache_config: MallocCacheConfig) -> WorkloadComparison:
-        """Replay Mallacc with ``cache_config`` against the shared baseline."""
-        ops, shared = self._baseline()
+    def _mallacc(self, ops: Sequence[Op], cache_config: MallocCacheConfig) -> RunResult:
+        for kept_config, needed, kept in self._kept:
+            if needed <= cache_config.num_entries and (
+                replace(kept_config, num_entries=cache_config.num_entries)
+                == cache_config
+            ):
+                return kept
         alloc = make_mallacc(
             config=self.config, cache_config=cache_config, allocator=self.allocator
         )
-        mallacc = self._replay(alloc, ops)
+        result = self._replay(alloc, ops)
+        needed = alloc.malloc_cache.min_equivalent_entries()
+        if needed is not None:
+            self._kept.append((cache_config, needed, result))
+        return result
+
+    def compare(self, cache_config: MallocCacheConfig) -> WorkloadComparison:
+        """Compare Mallacc with ``cache_config`` against the shared baseline,
+        replaying it only if no kept replay covers ``cache_config``."""
+        ops, shared = self._baseline()
+        mallacc = replace(self._mallacc(ops, cache_config))
         baseline = replace(shared)
         # The runner cannot know the workload seed or cache size; enrich the
         # provenance records here where both are in scope.

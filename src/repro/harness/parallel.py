@@ -25,7 +25,7 @@ experiment matrix across a ``multiprocessing`` worker pool:
   per-cell wall time, and the pooled trace-cache hit rate via
   :func:`~repro.harness.metrics.trace_cache_summary`.
 
-Sharding is amortized three ways so ``jobs > 1`` wins even on the small
+Sharding is amortized four ways so ``jobs > 1`` wins even on the small
 cells sampled methodologies produce (SMARTS-style interval plans make
 cells *cheaper*, which makes per-task overhead *relatively* costlier):
 
@@ -49,7 +49,12 @@ cells *cheaper*, which makes per-task overhead *relatively* costlier):
   (:class:`~repro.harness.experiments.CacheSizeFamily`), since the
   baseline has no malloc cache; each cell replays only Mallacc.  The
   family's first cell is charged the shared work, and the family is
-  dropped after its last cell.
+  dropped after its last cell;
+* **one Mallacc replay per distinct malloc cache** — a Mallacc replay
+  whose cache never evicted or flushed covers every larger size of its
+  family (``MallocCache.min_equivalent_entries``), so a covered cell
+  reuses it instead of replaying.  The cell that replays is charged the
+  replay; a cell that reuses one is charged only its own summary.
 
 Entry points: ``build_matrix`` to enumerate cells, ``run_matrix`` to
 execute them, ``matrix_figure_data`` for the canonical (order-stable,
@@ -252,9 +257,9 @@ class CellResult:
 
 
 def run_cell(cell: SweepCell) -> CellResult:
-    """Execute one cell on fresh machines, replaying its op stream and
-    baseline for it alone (a batch shares them across a cache-size family:
-    :func:`_run_cells`)."""
+    """Execute one cell on fresh machines, replaying its op stream,
+    baseline and Mallacc for it alone (a batch shares them across a
+    cache-size family: :func:`_run_cells`)."""
     return _run_cell(cell, {})
 
 
@@ -346,10 +351,12 @@ def _run_cells(
     exploding cell fails alone.
 
     With :func:`run_cell`, the exact cells of one cache-size family share
-    one op stream and one baseline replay.  The family's first cell builds
-    them, and its wall time includes them; they are dropped after the
-    family's last cell here, so nothing outlives this call.  A baseline
-    that raises fails each cell of its family in turn.  Any other
+    one op stream and one baseline replay, and a cell whose size an
+    earlier cell's Mallacc replay covers reuses that replay.  The cell that
+    builds a shared replay is charged it in its wall time; all are dropped
+    after the family's last cell here, so nothing outlives this call.  A
+    baseline that raises fails each cell of its family in turn; a Mallacc
+    replay that raises fails its own cell and keeps nothing.  Any other
     ``cell_fn`` runs cell by cell.
     """
     if cell_fn is not run_cell:
@@ -478,9 +485,10 @@ def plan_batches(
     Cells are grouped by workload family first (preserving matrix order
     within each family), then chunked to ``batch_size``: cells of one
     family share a seed (:func:`derive_seed`) and therefore one op stream,
-    so a family batch generates that stream and replays the baseline once
-    (:func:`_run_cells`), and pays for each schedule and twin shape once,
-    in the worker's process-wide schedule memo and structure store.
+    so a family batch generates that stream, replays the baseline once and
+    Mallacc once per distinct malloc cache (:func:`_run_cells`), and pays
+    for each schedule and twin shape once, in the worker's process-wide
+    schedule memo and structure store.
     Execution order never affects results (cells are hermetic); only
     amortization does.
     """

@@ -7,16 +7,19 @@ class count, Gaussian benchmarks climb gradually (size-class locality), and
 ``tp`` can *lose* performance to prefetch blocking in tight loops.
 
 Every point replays the same op stream, and the stock baseline has no
-malloc cache, so an exact sweep replays the baseline once and Mallacc once
-per size (:func:`~repro.harness.experiments.compare_cache_sizes`).
+malloc cache, so an exact sweep replays the baseline once.  Past a
+workload's class count the malloc cache never fills, so every larger size
+shares one Mallacc replay: an exact sweep replays Mallacc once per distinct
+malloc cache (:class:`~repro.harness.experiments.CacheSizeFamily`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from repro.core.malloc_cache import MallocCacheConfig
-from repro.harness.experiments import compare_cache_sizes, compare_workload_sampled
+from repro.harness.experiments import CacheSizeFamily, compare_workload_sampled
 from repro.sim.sampling import SamplingConfig
 from repro.workloads.base import Workload
 
@@ -71,13 +74,17 @@ def sweep_cache_sizes(
 
     Each point's cache is ``cache_config_base`` (default
     :class:`MallocCacheConfig`) with ``num_entries`` set to the size.  The
-    serial exact path is one :func:`compare_cache_sizes` call: the op
-    stream is generated and the stock baseline replayed once, then Mallacc
-    once per size.
+    serial exact path runs every point through one
+    :class:`~repro.harness.experiments.CacheSizeFamily`: the op stream is
+    generated and the stock baseline replayed once, then Mallacc once per
+    distinct malloc cache (a size that an earlier point's cache never
+    filled shares that point's replay).  Each point is reduced to its
+    speedups before the next one runs, so no point's comparison outlives
+    it.
 
     ``jobs > 1`` shards the sweep points across worker processes via
     :mod:`repro.harness.parallel`; a worker batch holding several points
-    shares one stream and baseline the same way, so the curve is
+    shares the stream and replays the same way, so the curve is
     byte-identical to the serial one.  ``checkpoint_dir``/``resume`` make
     the sweep interruptible and ``batch_size`` forwards to
     :func:`repro.harness.parallel.run_matrix` (``None`` auto-sizes
@@ -95,30 +102,32 @@ def sweep_cache_sizes(
             batch_size=batch_size,
         )
     base = cache_config_base or MallocCacheConfig()
-    configs = [replace(base, num_entries=size) for size in sizes]
     result = SweepResult(
         workload=workload.name, sizes=tuple(sizes), sampled=sampling is not None
     )
     if sampling is None:
-        comparisons = compare_cache_sizes(workload, configs, num_ops=num_ops, seed=seed)
+        point = CacheSizeFamily(workload, num_ops=num_ops, seed=seed).compare
     else:
-        comparisons = (
-            compare_workload_sampled(
-                workload, num_ops=num_ops, seed=seed, cache_config=cfg,
-                sampling=sampling,
-            )
-            for cfg in configs
+        point = partial(
+            compare_workload_sampled, workload, num_ops=num_ops, seed=seed,
+            sampling=sampling,
         )
-    for comparison in comparisons:
-        if sampling is not None:
-            result.malloc_speedup_cis.append(comparison.ci("malloc_improvement"))
-            result.allocator_speedup_cis.append(
-                comparison.ci("allocator_improvement")
-            )
-        result.malloc_speedups.append(comparison.malloc_improvement)
-        result.allocator_speedups.append(comparison.allocator_improvement)
-        result.limit_speedup = comparison.malloc_limit_improvement
+    for size in sizes:
+        _add_point(result, point(cache_config=replace(base, num_entries=size)))
     return result
+
+
+def _add_point(result: SweepResult, comparison) -> None:
+    """Append one comparison's speedups (and, if sampled, their bounds).
+
+    The sweep passes each comparison straight in, so nothing holds it, or
+    its call records, once this returns and the next point replays."""
+    if result.sampled:
+        result.malloc_speedup_cis.append(comparison.ci("malloc_improvement"))
+        result.allocator_speedup_cis.append(comparison.ci("allocator_improvement"))
+    result.malloc_speedups.append(comparison.malloc_improvement)
+    result.allocator_speedups.append(comparison.allocator_improvement)
+    result.limit_speedup = comparison.malloc_limit_improvement
 
 
 def _sweep_parallel(

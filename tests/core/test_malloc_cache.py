@@ -1,7 +1,10 @@
 """Tests for the malloc cache (Figure 8 structure, Figures 9/11 semantics)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.alloc.size_classes import SizeClassTable
 from repro.core.malloc_cache import CacheEntry, MallocCache, MallocCacheConfig
 from repro.sim.memory import NULL, SimulatedMemory
 
@@ -336,3 +339,85 @@ class TestFillRules:
             return alloc.malloc_cache.pop_hit_rate
 
         assert abs(hit_rate("adjacent") - hit_rate("paper")) < 0.15
+
+
+_TABLE = SizeClassTable.generate()
+_SIZES = st.integers(1, 1024)  # 30 classes: a 32-entry cache never evicts
+_ADDRS = st.sampled_from([NULL, 0x1000, 0x2000, 0x3000, 0x4000])
+_CYCLES = st.integers(0, 200)
+_OPS = st.one_of(
+    st.tuples(st.just("szlookup"), _SIZES),
+    st.tuples(st.just("szupdate"), _SIZES),
+    st.tuples(st.just("hdpop"), _SIZES, _CYCLES),
+    st.tuples(st.just("hdpush"), _SIZES, _ADDRS, _CYCLES),
+    st.tuples(st.just("nxtprefetch"), _SIZES, _ADDRS, _ADDRS, _CYCLES),
+)
+
+
+def _replay(num_entries: int, ops) -> tuple[MallocCache, list]:
+    """Apply ``ops`` to a fresh cache; returned entries become slot indices."""
+    c = cache(num_entries=num_entries)
+    out = []
+    for name, size, *args in ops:
+        cl = _TABLE.size_class_of(size)
+        if name == "szlookup":
+            ret = c.szlookup(size)
+        elif name == "szupdate":
+            ret = c.szupdate(size, _TABLE.alloc_size_of(cl), cl)
+        elif name == "hdpop":
+            ret = c.hdpop(cl, *args)
+        elif name == "hdpush":
+            ret = c.hdpush(cl, *args)
+        else:
+            ret = c.nxtprefetch(cl, *args)
+        rets = ret if isinstance(ret, tuple) else (ret,)
+        out.append(tuple(
+            next(i for i, e in enumerate(c.entries) if e is r)
+            if isinstance(r, CacheEntry) else r
+            for r in rets
+        ))
+    return c, out
+
+
+class TestCapacityEquivalence:
+    """A cache that never evicted or flushed replays identically at every
+    capacity from :meth:`MallocCache.min_equivalent_entries` up."""
+
+    @given(st.lists(_OPS, max_size=80))
+    @settings(max_examples=60, deadline=None)
+    def test_every_covered_capacity_replays_identically(self, ops):
+        big, rets = _replay(32, ops)
+        needed = big.min_equivalent_entries()
+        assert needed is not None
+        for size in range(max(needed, 1), 33):
+            small, small_rets = _replay(size, ops)
+            assert small_rets == rets
+            assert small.entries == big.entries[:size]
+            assert all(e == CacheEntry() for e in big.entries[size:])
+            assert small.stats == big.stats
+            assert small.min_equivalent_entries() == needed
+        if needed > 1:
+            # The bound is tight: one entry fewer must evict.
+            assert _replay(needed - 1, ops)[0].stats.evictions > 0
+
+    def test_counts_valid_entries(self):
+        c = cache(num_entries=8)
+        assert c.min_equivalent_entries() == 0
+        c.szupdate(16, 16, 1)
+        c.szupdate(32, 32, 2)
+        c.szupdate(20, 32, 2)
+        assert c.min_equivalent_entries() == 2
+
+    def test_none_after_an_eviction(self):
+        c = cache(num_entries=1)
+        c.szupdate(16, 16, 1)
+        c.szupdate(32, 32, 2)
+        assert c.stats.evictions == 1
+        assert c.min_equivalent_entries() is None
+
+    def test_none_after_a_flush(self):
+        c = cache(num_entries=8)
+        c.szupdate(16, 16, 1)
+        c.flush()
+        c.szupdate(32, 32, 2)
+        assert c.min_equivalent_entries() is None

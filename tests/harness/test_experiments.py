@@ -125,6 +125,46 @@ class TestCompareCacheSizes:
             assert c.baseline is not first.baseline
             assert c.baseline.records is first.baseline.records
 
+    def test_covered_sizes_reuse_one_mallacc_replay(self):
+        """tp_small uses 4 classes, so the 4-entry replay covers 8 and 32
+        entries.  Each reuse has its own result over the kept replay's
+        records and equals its own size replayed alone, record for record."""
+        first, *rest = self._sweep()
+        for size, c in zip(self.SIZES[1:], rest):
+            assert c.mallacc is not first.mallacc
+            assert c.mallacc.records is first.mallacc.records
+            keys = [key for key, _ in c.mallacc.manifest.extra]
+            assert keys.count("cache_entries") == 1
+            assert dict(c.mallacc.manifest.extra)["cache_entries"] == str(size)
+            alone = compare_workload(
+                MICROBENCHMARKS["tp_small"], num_ops=300, seed=4, cache_entries=size
+            )
+            assert summarize_comparison(c) == summarize_comparison(alone)
+            assert [r.cycles for r in c.mallacc.records] == [
+                r.cycles for r in alone.mallacc.records
+            ]
+
+    def test_only_covered_configs_reuse_a_replay(self, monkeypatch):
+        """A kept replay covers sizes at or above what its cache used, and
+        only configs equal to its own in every other field."""
+        built = []
+        real = experiments.make_mallacc
+
+        def spy(*args, cache_config=None, **kwargs):
+            built.append(cache_config)
+            return real(*args, cache_config=cache_config, **kwargs)
+
+        monkeypatch.setattr(experiments, "make_mallacc", spy)
+        configs = [
+            MallocCacheConfig(num_entries=32),
+            MallocCacheConfig(num_entries=8),
+            MallocCacheConfig(num_entries=2),
+            MallocCacheConfig(num_entries=8, eviction="fifo"),
+            MallocCacheConfig(num_entries=16, eviction="fifo"),
+        ]
+        compare_cache_sizes(MICROBENCHMARKS["tp_small"], configs, num_ops=300, seed=4)
+        assert built == [configs[0], configs[2], configs[3]]
+
     def test_cache_config_sets_the_manifest_size(self):
         c = compare_workload(
             MICROBENCHMARKS["tp_small"], num_ops=100,

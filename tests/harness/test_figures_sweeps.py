@@ -1,9 +1,11 @@
 """Tests for text figure rendering and the cache-size sweep."""
 
+import weakref
+
 import pytest
 
 from repro.core.malloc_cache import MallocCacheConfig
-from repro.harness.experiments import compare_workload
+from repro.harness.experiments import CacheSizeFamily, compare_workload
 from repro.harness.figures import (
     render_bar_chart,
     render_histogram,
@@ -71,6 +73,26 @@ class TestSweep:
         )
         assert result.malloc_speedups == [direct.malloc_improvement]
         assert result.allocator_speedups == [direct.allocator_improvement]
+
+    def test_each_point_is_dropped_before_the_next(self, monkeypatch):
+        """The serial sweep keeps only each point's speedups: the comparison
+        a point returned, with its call records, is dead by the time the
+        next point starts."""
+        real = CacheSizeFamily.compare
+        returned = []
+
+        def compare(self, cache_config):
+            if returned:
+                assert returned[-1]() is None
+            comparison = real(self, cache_config)
+            returned.append(weakref.ref(comparison))
+            return comparison
+
+        monkeypatch.setattr(CacheSizeFamily, "compare", compare)
+        result = sweep_cache_sizes(
+            MICROBENCHMARKS["tp_small"], sizes=(2, 4, 8), num_ops=200
+        )
+        assert len(returned) == 3 and len(result.malloc_speedups) == 3
 
     def test_inflection_detection(self):
         r = SweepResult(

@@ -12,6 +12,8 @@ from dataclasses import replace
 
 import pytest
 
+from repro.alloc.constants import AllocatorConfig
+from repro.alloc.size_classes import SizeClassTable
 from repro.harness import experiments
 from repro.harness.parallel import (
     MAX_BATCH_CELLS,
@@ -30,6 +32,8 @@ from repro.harness.parallel import (
     write_checkpoint,
     write_checkpoints,
 )
+from repro.workloads import MACRO_WORKLOADS
+from repro.workloads.base import OpKind
 
 
 def fake_result(cell: SweepCell, marker: float = 1.0) -> CellResult:
@@ -335,34 +339,35 @@ FAMILY = build_matrix(["tp_small"], cache_sizes=(4, 8, 32), num_ops=60)
 
 class TestCacheSizeFamilies:
     """Exact cells that differ only in ``cache_entries`` share one op
-    stream and one baseline replay within a batch or inline round."""
+    stream and one baseline replay within a batch or inline round, and
+    one Mallacc replay per distinct malloc cache."""
 
-    def _spy_baseline(self, monkeypatch, before=lambda: None):
+    def _spy(self, monkeypatch, name, before=lambda: None):
         calls = []
-        real = experiments.make_baseline
+        real = getattr(experiments, name)
 
         def spy(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("cache_config"))
             before()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(experiments, "make_baseline", spy)
+        monkeypatch.setattr(experiments, name, spy)
         return calls
 
     def test_family_replays_one_baseline(self, monkeypatch):
-        calls = self._spy_baseline(monkeypatch)
+        calls = self._spy(monkeypatch, "make_baseline")
         result = run_matrix(FAMILY, jobs=1)
         assert len(result.results) == 3
         assert len(calls) == 1
 
     def test_each_family_replays_its_own_baseline(self, monkeypatch):
-        calls = self._spy_baseline(monkeypatch)
+        calls = self._spy(monkeypatch, "make_baseline")
         other = [replace(cell, seed=cell.seed + 1) for cell in FAMILY[:2]]
         run_matrix(FAMILY + other, jobs=1)
         assert len(calls) == 2
 
     def test_sampled_cells_replay_their_own_baselines(self, monkeypatch):
-        calls = self._spy_baseline(monkeypatch)
+        calls = self._spy(monkeypatch, "make_baseline")
         cells = [replace(cell, sampled=True, interval_ops=20, stride=2)
                  for cell in FAMILY[:2]]
         # A sampled comparison also builds baselines for its plan probe, so
@@ -374,7 +379,14 @@ class TestCacheSizeFamilies:
         assert len(calls) == 2 * alone
 
     def test_first_cell_is_charged_the_shared_baseline(self, monkeypatch):
-        self._spy_baseline(monkeypatch, before=lambda: time.sleep(0.5))
+        self._spy(monkeypatch, "make_baseline", before=lambda: time.sleep(0.5))
+        walls = run_matrix(FAMILY, jobs=1).stats.per_cell_wall
+        first, *rest = (walls[cell.cell_id] for cell in FAMILY)
+        assert first >= 0.5
+        assert all(wall < 0.5 for wall in rest)
+
+    def test_replaying_cell_is_charged_the_mallacc_replay(self, monkeypatch):
+        self._spy(monkeypatch, "make_mallacc", before=lambda: time.sleep(0.5))
         walls = run_matrix(FAMILY, jobs=1).stats.per_cell_wall
         first, *rest = (walls[cell.cell_id] for cell in FAMILY)
         assert first >= 0.5
@@ -391,25 +403,55 @@ class TestCacheSizeFamilies:
         assert list(result.quarantined) == [cell.cell_id for cell in FAMILY]
 
     def test_failing_mallacc_fails_only_its_cell(self, monkeypatch):
+        """tp_small uses 4 classes, so the 4-entry replay would cover the
+        whole family.  When it raises, nothing is kept: the 8-entry cell
+        replays for itself and the 32-entry cell reuses that replay."""
         real = experiments.make_mallacc
+        built = []
 
-        def broken_at_8(*args, cache_config=None, **kwargs):
-            if cache_config.num_entries == 8:
+        def broken_at_4(*args, cache_config=None, **kwargs):
+            built.append(cache_config.num_entries)
+            if cache_config.num_entries == 4:
                 raise RuntimeError("no mallacc")
             return real(*args, cache_config=cache_config, **kwargs)
 
-        alone = run_matrix(FAMILY, jobs=1)
-        monkeypatch.setattr(experiments, "make_mallacc", broken_at_8)
+        alone = {cell.cell_id: run_cell(cell) for cell in FAMILY}
+        monkeypatch.setattr(experiments, "make_mallacc", broken_at_4)
         result = run_matrix(FAMILY, jobs=1, max_retries=0)
-        assert result.quarantined == {FAMILY[1].cell_id: "RuntimeError: no mallacc"}
-        for cell in (FAMILY[0], FAMILY[2]):
+        assert result.quarantined == {FAMILY[0].cell_id: "RuntimeError: no mallacc"}
+        assert built == [4, 8]
+        for cell in FAMILY[1:]:
             assert (
                 result.results[cell.cell_id].summary
-                == alone.results[cell.cell_id].summary
+                == alone[cell.cell_id].summary
             )
 
+    def test_covered_sizes_share_one_mallacc_replay(self, monkeypatch):
+        """tp_small uses 4 classes: its 4-entry cache never evicts, so the
+        8- and 32-entry cells reuse that replay."""
+        built = self._spy(monkeypatch, "make_mallacc")
+        result = run_matrix(FAMILY, jobs=1)
+        assert len(result.results) == 3
+        assert [config.num_entries for config in built] == [4]
+
+    def test_evicting_sizes_replay_for_themselves(self, monkeypatch):
+        """400.perlbench uses 9 classes at 60 ops: its 4-entry cache evicts
+        and replays alone, while the 16-entry replay covers 32 entries."""
+        cells = build_matrix(["400.perlbench"], cache_sizes=(4, 16, 32), num_ops=60)
+        ops = list(MACRO_WORKLOADS["400.perlbench"].ops(seed=cells[0].seed, num_ops=60))
+        table = SizeClassTable.generate()
+        classes = {table.size_class_of(op.size) for op in ops
+                   if op.kind is OpKind.MALLOC and op.size <= AllocatorConfig().max_size}
+        assert 4 < len(classes) <= 16
+        built = self._spy(monkeypatch, "make_mallacc")
+        result = run_matrix(cells, jobs=1)
+        assert len(result.results) == 3
+        assert [config.num_entries for config in built] == [4, 16]
+        for cell in cells:
+            assert result.results[cell.cell_id].summary == run_cell(cell).summary
+
     def test_other_cell_functions_run_cell_by_cell(self, monkeypatch):
-        calls = self._spy_baseline(monkeypatch)
+        calls = self._spy(monkeypatch, "make_baseline")
         result = run_matrix(FAMILY, jobs=1, cell_fn=lambda cell: run_cell(cell))
         assert len(result.results) == 3
         assert len(calls) == 3

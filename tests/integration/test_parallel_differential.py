@@ -22,7 +22,11 @@ import pytest
 
 import repro
 
-from repro.harness.experiments import compare_workload, summarize_comparison
+from repro.harness.experiments import (
+    compare_workload,
+    make_mallacc,
+    summarize_comparison,
+)
 from repro.harness.parallel import (
     CellResult,
     SweepCell,
@@ -32,6 +36,7 @@ from repro.harness.parallel import (
     run_cell,
     run_matrix,
 )
+from repro.harness.runner import run_workload
 from repro.harness.sweeps import sweep_cache_sizes
 from repro.workloads import MICROBENCHMARKS
 
@@ -124,9 +129,10 @@ class TestSerialParallelIdentity:
     def test_single_cell_matches_direct_compare(self):
         """run_cell is just compare_workload on fresh machines.  Inside a
         cache-size family a cell shares the family's op stream and baseline
-        replay, both pure functions of the cell minus its cache size, so it
-        equals the cell run alone: no simulated state leaks between cells
-        in either direction."""
+        replay, both pure functions of the cell minus its cache size, and
+        reuses any Mallacc replay whose cache its size covers, so it equals
+        the cell run alone: no simulated state leaks between cells in
+        either direction."""
         cell = SweepCell(workload="tp_small", cache_entries=8, num_ops=150, seed=2)
         alone = run_cell(cell)
         direct = compare_workload(
@@ -135,11 +141,19 @@ class TestSerialParallelIdentity:
         assert alone.summary == summarize_comparison(direct)
         in_matrix = run_matrix([cell], jobs=1).results[cell.cell_id]
         assert alone.summary == in_matrix.summary
+        # tp_small uses 4 classes, so the family's 4-entry replay covers
+        # its 8- and 32-entry cells, which reuse it.
+        covered = replace(cell, cache_entries=32)
+        probe = make_mallacc(cache_entries=4)
+        run_workload(probe, MICROBENCHMARKS["tp_small"].ops(seed=2, num_ops=150))
+        assert probe.malloc_cache.min_equivalent_entries() <= 4
         family = [replace(cell, cache_entries=size) for size in (4, 8, 32)]
+        expected = {cell.cell_id: alone, covered.cell_id: run_cell(covered)}
         for jobs in (1, 2):
-            in_family = run_matrix(family, jobs=jobs).results[cell.cell_id]
-            assert in_family.summary == alone.summary
-            assert in_family.metrics == alone.metrics
+            results = run_matrix(family, jobs=jobs).results
+            for cell_id, one in expected.items():
+                assert results[cell_id].summary == one.summary
+                assert results[cell_id].metrics == one.metrics
 
 
 class TestWorkerFaults:
