@@ -506,26 +506,7 @@ class TCMalloc:
         sampled: bool,
     ) -> CallRecord:
         if em.functional:
-            # Functional fast-forward: allocator state advanced, nothing is
-            # priced.  The record keeps path/size-class statistics flowing
-            # (interval features, path counters) at zero cycles; the clock
-            # moves only through the runner's application gaps, so detailed
-            # intervals downstream see a consistently-shifted timebase.
-            record = CallRecord(
-                kind=kind,
-                size=size,
-                size_class=cl,
-                path=path,
-                cycles=0,
-                num_uops=0,
-                ptr=ptr,
-                clock=clock0,
-                sampled=sampled,
-            )
-            if self.keep_records:
-                self.records.append(record)
-            self._post_schedule(None, None)
-            return record
+            return self._finish_functional(kind, size, cl, path, ptr, clock0, sampled)
         if (path is Path.FAST or path is Path.FREE_FAST) and not sampled:
             # A fast-path shape no fused twin served (see Machine.twins).
             self.machine.object_path_fast_calls += 1
@@ -551,6 +532,38 @@ class TCMalloc:
         if self.keep_records:
             self.records.append(record)
         self._post_schedule(trace, result)
+        return record
+
+    def _finish_functional(
+        self,
+        kind: str,
+        size: int,
+        cl: int,
+        path: Path,
+        ptr: int,
+        clock0: int,
+        sampled: bool = False,
+    ) -> CallRecord:
+        """The end of a warm or skip call, on the object path or a fused
+        twin: allocator state advanced, nothing is priced.  The record keeps
+        path/size-class statistics flowing (interval features, path
+        counters) at zero cycles; the clock moves only through the runner's
+        application gaps, so detailed intervals downstream see a
+        consistently-shifted timebase."""
+        record = CallRecord(
+            kind=kind,
+            size=size,
+            size_class=cl,
+            path=path,
+            cycles=0,
+            num_uops=0,
+            ptr=ptr,
+            clock=clock0,
+            sampled=sampled,
+        )
+        if self.keep_records:
+            self.records.append(record)
+        self._post_schedule(None, None)
         return record
 
     def _post_schedule(self, trace: Trace | None, result) -> None:

@@ -23,6 +23,14 @@ byte-identical to the reference path; the differential grid in
 ``tests/integration/test_hot_path_differential.py`` holds both engines to
 that.
 
+The twins serve detailed calls and the sampled replay's warm calls.  A warm
+call makes every cache, TLB, predictor, memory and malloc-cache transition
+of a detailed one, then ends as ``TCMalloc._finish``'s functional branch
+does: a zero-cycle record, nothing interned or priced, the clock left
+alone; its Mallacc prefetch gets no issue-slot estimate, as under the
+:class:`~repro.alloc.context.WarmingEmitter`.  Skip-mode fast shapes are
+the flat ``fast_forward_malloc``/``fast_forward_free`` paths'.
+
 Twins activate only when the columnar engine is selected at allocator
 construction time and the machine interns traces; they handle exactly the
 fast-path shapes (``malloc:fast`` / ``free:fast``) and return ``None`` to
@@ -95,8 +103,11 @@ class TCMallocFastPath:
 
     # -- shared guards ------------------------------------------------------
     def _machine(self):
+        # Detailed and warm calls.  A skip-mode fast shape is the flat
+        # fast_forward_* paths' (the sampled replay tries them first), and
+        # what they decline is no fast shape.
         m = self.alloc.machine
-        if m.warming is not None or m.interner is None:
+        if m.warming == "skip" or m.interner is None:
             return None
         return m
 
@@ -182,6 +193,8 @@ class TCMallocFastPath:
         if head in live:
             raise AssertionError(f"allocator returned live pointer {head:#x}")
         live[head] = (size, cl)
+        if m.warming is not None:
+            return head, a._finish_functional("malloc", size, cl, _PATH_FAST, head, clock0)
 
         lats = (
             1, 1, 1, 1, 1, 1,
@@ -276,6 +289,8 @@ class TCMallocFastPath:
         tlb(length_addr)
         tc.size_bytes += alloc_size
         p_long = m.predictor.predict("tc_list_too_long", False)
+        if m.warming is not None:
+            return a._finish_functional("free", size, cl, _PATH_FREE_FAST, ptr, clock0)
 
         lats = (
             1, 1, 1, 1, 1, 1,
@@ -352,6 +367,7 @@ class MallaccFastPath(TCMallocFastPath):
         mem_read = memory.read_word
         mem_write = memory.write_word
         predict = m.predictor.predict
+        warm = m.warming is not None
 
         if sampling:
             pmu.accumulated += size
@@ -425,7 +441,9 @@ class MallaccFastPath(TCMallocFastPath):
             lats.append(1)
             addrs.append(new_head)
             isa._order_uop = prefetch_uop
-            issue_estimate = prefetch_uop // m.timing.config.issue_width
+            # WarmingEmitter numbers every uop 0: a warm call's prefetch has
+            # no issue-slot estimate.
+            issue_estimate = 0 if warm else prefetch_uop // m.timing.config.issue_width
             cache.nxtprefetch(cl, new_head, head_next, clock0 + issue_estimate + mem_latency)
         else:
             isa._order_uop = pop_uop
@@ -451,6 +469,8 @@ class MallaccFastPath(TCMallocFastPath):
         if head in live:
             raise AssertionError(f"allocator returned live pointer {head:#x}")
         live[head] = (size, cl)
+        if warm:
+            return head, a._finish_functional("malloc", size, cl, _PATH_FAST, head, clock0)
 
         tokens = [
             ("sampled", False),
@@ -575,6 +595,8 @@ class MallaccFastPath(TCMallocFastPath):
         lats += [1, 1]
         tc.size_bytes += alloc_size
         lats.append(1 + predict("tc_list_too_long", False))
+        if m.warming is not None:
+            return a._finish_functional("free", size, cl, _PATH_FREE_FAST, ptr, clock0)
         lats += [1, 1, 1, 1, 1]
 
         tokens = [("sized", sized)]

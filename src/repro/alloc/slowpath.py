@@ -33,6 +33,17 @@ counters and every intern/trace-cache counter are bit-identical to the
 reference engine (held to by the differential grid in
 ``tests/integration/test_hot_path_differential.py``).
 
+The refill twins serve all three modes of the sampled replay step, through
+the per-call recorder (:class:`_Pass`): a detailed call interns and prices
+as above; a warm call makes every cache, TLB, predictor, memory and
+malloc-cache transition of a detailed one and prices nothing (the
+:class:`~repro.alloc.context.WarmingEmitter` contract); a skip call makes
+no cache or TLB probe either (the :class:`~repro.alloc.context
+.FunctionalEmitter` contract).  Warm and skip calls end as
+``TCMalloc._finish``'s functional branch does: a zero-cycle record, no
+intern or trace-cache lookup, no clock advance
+(``tests/alloc/test_twin_modes.py`` holds them to the object path).
+
 Twins activate only under the columnar engine with interning on, and every
 fallback check is a pure read performed before the first mutation: fast
 shapes (the fast-path twin's domain), sampled calls, LARGE traffic, invalid
@@ -374,7 +385,10 @@ _STRUCTS = StructStore(compile_struct)
 
 
 class _Pass:
-    """Hoisted primitives plus the token/latency/address accumulators.
+    """One twin call's recorder: hoisted primitives plus the token/latency/
+    address accumulators.  This one records a detailed call, which
+    :meth:`finish` interns and prices; :data:`_PASSES` picks the recorder by
+    the machine's ``warming``.
 
     Dependence edges exist only in the compiled structure (latencies do not
     depend on them), so the hot pass never threads uop indices — the only
@@ -387,6 +401,10 @@ class _Pass:
         "lats", "addrs", "toks", "clock", "hierarchy", "h_read",
         "h_write", "tlb", "mem_read", "mem_write", "predict", "issue_width",
     )
+
+    probes = True
+    """Whether accesses probe the cache hierarchy and TLB.  The twins'
+    fused carve and transfer loops test it rather than call a no-op."""
 
     def __init__(self, m) -> None:
         self.lats: list[int] = []
@@ -430,18 +448,35 @@ class _Pass:
         mem_write = self.mem_write
         h_write = self.h_write
         tlb = self.tlb
+        probes = self.probes
         addr = base
         for _ in range(count - 1):
             nxt = addr + stride
             mem_write(addr, nxt)
-            h_write(addr)
-            tlb(addr)
+            if probes:
+                h_write(addr)
+                tlb(addr)
             addr = nxt
         mem_write(addr, last_value)
-        h_write(addr)
-        tlb(addr)
+        if probes:
+            h_write(addr)
+            tlb(addr)
         self.lats.extend((1,) * count)
         self.addrs.extend(range(base, base + count * stride, stride))
+
+    def prefetch(self, addr: int) -> int:
+        """``mcnxtprefetch``'s line fetch; returns the cycle the line lands:
+        the call's start, plus its uop's issue-slot estimate, plus the
+        fetch latency."""
+        uop = len(self.lats)
+        self.lats.append(1)
+        self.addrs.append(addr)
+        return self.clock + uop // self.issue_width + self.hierarchy.prefetch(addr)
+
+    def finish(self, a, m, site: str, **call):
+        """Intern, price and record the call (:func:`_finish`)."""
+        return _finish(a, m, site, tuple(self.toks), tuple(self.lats),
+                       tuple(self.addrs), **call)
 
     def alu(self) -> None:
         self.lats.append(1)
@@ -459,6 +494,44 @@ class _Pass:
     def note(self, tok) -> None:
         self.toks.append(tok)
 
+
+class _WarmPass(_Pass):
+    """Warm mode's recorder: every transition of a detailed call, nothing
+    priced; the call ends as ``TCMalloc._finish``'s functional branch."""
+
+    __slots__ = ()
+
+    def prefetch(self, addr: int) -> int:
+        # WarmingEmitter numbers every uop 0: no issue-slot estimate.
+        return self.clock + self.hierarchy.prefetch(addr)
+
+    def finish(self, a, m, site: str, *, kind, size, cl, path, ptr, clock0):
+        return a._finish_functional(kind, size, cl, path, ptr, clock0)
+
+
+class _SkipPass(_WarmPass):
+    """Skip mode's recorder: memory, predictor and malloc-cache transitions
+    only — no cache or TLB probe."""
+
+    __slots__ = ()
+    probes = False
+
+    def load(self, addr: int) -> int:
+        return self.mem_read(addr)
+
+    def load_priced(self, addr: int) -> None:
+        pass
+
+    def store(self, addr: int, value: int) -> None:
+        self.mem_write(addr, value)
+
+    def prefetch(self, addr: int) -> int:
+        # FunctionalEmitter.prefetch_line: no fetch, the nominal L1 latency.
+        return self.clock + self.hierarchy.config.l1.latency
+
+
+#: The recorder for each ``Machine.warming`` value.
+_PASSES = {None: _Pass, "warm": _WarmPass, "skip": _SkipPass}
 
 _VETO = object()
 """Sentinel from the ``_pre_*`` hooks: fall back before any mutation."""
@@ -484,10 +557,9 @@ class TCMallocSlowPath:
         self.alloc = alloc
 
     def _machine(self):
+        # Every mode: the recorder (_PASSES) follows the machine's warming.
         m = self.alloc.machine
-        if m.warming is not None or m.interner is None:
-            return None
-        return m
+        return None if m.interner is None else m
 
     # -- malloc (central / page refills) ------------------------------------
     def malloc(self, size: int):
@@ -514,7 +586,7 @@ class TCMallocSlowPath:
         # sequence mirrors the emitting path exactly.
         clock0 = m.clock
         self._begin(a)
-        p = _Pass(m)
+        p = _PASSES[m.warming](m)
         p.alus(6)
         self._emit_sampling(p, a, size)
         p.note(("sampled", False))
@@ -541,8 +613,8 @@ class TCMallocSlowPath:
             site, path = "malloc:page", _PATH_PAGE
         else:
             site, path = "malloc:central", _PATH_CENTRAL
-        record = _finish(
-            a, m, site, tuple(p.toks), tuple(p.lats), tuple(p.addrs),
+        record = p.finish(
+            a, m, site,
             kind="malloc", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
         )
         return ptr, record
@@ -583,7 +655,7 @@ class TCMallocSlowPath:
 
         clock0 = m.clock
         self._begin(a)
-        p = _Pass(m)
+        p = _PASSES[m.warming](m)
         del a.live[ptr]
         p.alus(6)
         p.note(("sized", sized))
@@ -599,8 +671,8 @@ class TCMallocSlowPath:
         if tc.size_bytes >= config.max_thread_cache_size:
             self._scavenge(p, a)
         p.alus(5)
-        return _finish(
-            a, m, "free:slow", tuple(p.toks), tuple(p.lats), tuple(p.addrs),
+        return p.finish(
+            a, m, "free:slow",
             kind="free", size=size, cl=cl, path=_PATH_FREE_SLOW, ptr=ptr,
             clock0=clock0,
         )
@@ -689,26 +761,26 @@ class TCMallocSlowPath:
         lats_append = p.lats.append
         addrs_append = p.addrs.append
         contents_add = contents.add
+        probes = p.probes
         for ptr in ptrs:
             if ptr in contents:
                 raise ValueError(f"double free of {ptr:#x}")
-            # load(header)
-            lats_append(h_read(header) + tlb(header))
-            addrs_append(header)
             old_head = mem_read(header)
-            # store(header, ptr)
             mem_write(header, ptr)
-            h_write(header)
-            tlb(header)
-            lats_append(1)
-            addrs_append(header)
-            # store(ptr, old_head)
             mem_write(ptr, old_head)
-            h_write(ptr)
-            tlb(ptr)
-            lats_append(1)
-            addrs_append(ptr)
             contents_add(ptr)
+            if probes:
+                # load(header), store(header, ptr), store(ptr, old_head)
+                lats_append(h_read(header) + tlb(header))
+                h_write(header)
+                tlb(header)
+                h_write(ptr)
+                tlb(ptr)
+                lats_append(1)
+                lats_append(1)
+                addrs_append(header)
+                addrs_append(header)
+                addrs_append(ptr)
         flist.length += len(ptrs)
 
     # -- metadata -----------------------------------------------------------
@@ -792,6 +864,7 @@ class TCMallocSlowPath:
         mem_read = p.mem_read
         lats_append = p.lats.append
         addrs_append = p.addrs.append
+        probes = p.probes
         taken_len = 0
         # Chain-walk pops fused into one frame per span streak —
         # access-for-access identical to the per-object ``p.load`` loop.
@@ -802,8 +875,9 @@ class TCMallocSlowPath:
             span = nonempty[-1]
             head = span.freelist_head
             while True:
-                lats_append(h_read(head) + tlb(head))
-                addrs_append(head)
+                if probes:
+                    lats_append(h_read(head) + tlb(head))
+                    addrs_append(head)
                 nxt = mem_read(head)
                 taken_append(head)
                 taken_len += 1
@@ -999,6 +1073,7 @@ class TCMallocSlowPath:
         mem_write = p.mem_write
         lats_append = p.lats.append
         addrs_append = p.addrs.append
+        probes = p.probes
         # Freelist pushes inlined (store() body), access-for-access identical.
         for i, ptr in enumerate(ptrs):
             span = span_of(ptr)
@@ -1006,10 +1081,11 @@ class TCMallocSlowPath:
                 raise ValueError(f"object {ptr:#x} does not belong to class {cl}")
             fh = span.freelist_head
             mem_write(ptr, fh)
-            h_write(ptr)
-            tlb(ptr)
-            lats_append(1)
-            addrs_append(ptr)
+            if probes:
+                h_write(ptr)
+                tlb(ptr)
+                lats_append(1)
+                addrs_append(ptr)
             if fh == NULL and span not in nonempty:
                 nonempty.append(span)
             span.freelist_head = ptr
@@ -1161,13 +1237,8 @@ class MallaccSlowPath(TCMallocSlowPath):
         p.note(("nxtprefetch", do_prefetch))
         if do_prefetch:
             head_next = p.mem_read(new_head)
-            mem_latency = p.hierarchy.prefetch(new_head)
-            pf_uop = len(p.lats)
-            p.lats.append(1)
-            p.addrs.append(new_head)
-            isa._order_uop = pf_uop
-            issue_estimate = pf_uop // p.issue_width
-            cache.nxtprefetch(cl, new_head, head_next, p.clock + issue_estimate + mem_latency)
+            isa._order_uop = len(p.lats)
+            cache.nxtprefetch(cl, new_head, head_next, p.prefetch(new_head))
         return head
 
     def _push(self, p: _Pass, a, flist, cl: int, ptr: int) -> None:

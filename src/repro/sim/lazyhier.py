@@ -583,9 +583,16 @@ class LazyRingHierarchy(CacheHierarchy):
             if self._risk3:
                 warm = self._risky(p, end, c, warm)
             res[p:end] = b"\x01" * n
-        if self._l3_old:
-            for q in [q for q in self._l3_old if p <= q < end]:
-                del self._l3_old[q]
+        old = self._l3_old
+        if old:
+            # Drop the burst's positions (now stamped by its segment): by
+            # position when the burst is the shorter, else by a scan.
+            if n < len(old):
+                for q in range(p, end):
+                    old.pop(q, None)
+            else:
+                for q in [q for q in old if p <= q < end]:
+                    del old[q]
         self._clock = c + n
         self.l1.misses += n
         self.l2.misses += n
