@@ -48,7 +48,7 @@ FREE_PATHS = frozenset({Path.FREE_FAST, Path.FREE_SLOW, Path.FREE_LARGE})
 #: (``carve``, ``tc_release``, ``pm_probes``, ...) so their shapes key
 #: templates too — a workload's refill shapes repeat heavily (same size
 #: class, same batch size, same carve count), which is what lets the fused
-#: slow-path twins (:mod:`repro.alloc.slowpath`) intern instead of
+#: twins' refills (:mod:`repro.alloc.slowpath`) intern instead of
 #: materializing.  Only LARGE/FREE_LARGE still build ad hoc: whole-span
 #: traffic is rare and its coalescing shapes genuinely don't repeat.
 _INTERN_SITES = {
@@ -135,17 +135,13 @@ class TCMalloc:
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
         self._fastpath = None
-        self._slowpath = None
         if is_columnar():
-            # Columnar engine: attach the fused priced twins of this
-            # allocator's fast paths and refill slow paths (None for
-            # unregistered subclasses).
+            # Columnar engine: attach this allocator's fused priced twin
+            # (None for unregistered subclasses).
             from repro.alloc.fastpath import fastpath_for
-            from repro.alloc.slowpath import slowpath_for
 
             self._fastpath = fastpath_for(self)
-            self._slowpath = slowpath_for(self)
-        self.machine.record_twins(self, self._fastpath, self._slowpath)
+        self.machine.record_twin(self, self._fastpath)
 
     # ------------------------------------------------------------------ malloc
     def malloc(self, size: int) -> tuple[int, CallRecord]:
@@ -153,11 +149,6 @@ class TCMalloc:
         fastpath = self._fastpath
         if fastpath is not None:
             out = fastpath.malloc(size)
-            if out is not None:
-                return out
-        slowpath = self._slowpath
-        if slowpath is not None:
-            out = slowpath.malloc(size)
             if out is not None:
                 return out
         if size <= 0:
@@ -294,11 +285,6 @@ class TCMalloc:
         fastpath = self._fastpath
         if fastpath is not None:
             record = fastpath.free(ptr, sized_hint)
-            if record is not None:
-                return record
-        slowpath = self._slowpath
-        if slowpath is not None:
-            record = slowpath.free(ptr, sized_hint)
             if record is not None:
                 return record
         if ptr not in self.live:

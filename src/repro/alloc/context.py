@@ -54,16 +54,16 @@ class Machine:
     sampled runner around unsampled intervals — exact replays never touch
     it, so the detailed path is byte-identical with this field present."""
     twins: dict[str, str] = field(default_factory=dict)
-    """Fused twins each allocator type built on this machine got at
-    construction (``fast+slow``, ``fast``, ``slow`` or ``none``; see
-    :meth:`record_twins`)."""
+    """The fused twin each allocator type built on this machine got at
+    construction (``fast+slow``, ``fast`` or ``none``; see
+    :meth:`record_twin`)."""
     object_path_calls: int = 0
     """Detailed calls that emitted through :meth:`new_emitter` — every call
     no fused twin served (the canary checks of ``DebugAllocator`` count
     too).  Twin-served calls never reach this counter."""
     object_path_fast_calls: int = 0
     """The subset of ``object_path_calls`` with a fast-path shape (an
-    unsampled ``fast``/``free_fast`` call), which a fast twin would serve."""
+    unsampled ``fast``/``free_fast`` call), which a twin would serve."""
 
     def new_emitter(self) -> "Emitter | FunctionalEmitter":
         warming = self.warming
@@ -74,11 +74,15 @@ class Machine:
             return WarmingEmitter(self)
         return FunctionalEmitter(self)
 
-    def record_twins(self, alloc, fastpath=None, slowpath=None) -> None:
-        """Note which fused twins ``alloc`` got, by its exact type name."""
-        got = [name for name, twin in (("fast", fastpath), ("slow", slowpath))
-               if twin is not None]
-        self.twins[type(alloc).__name__] = "+".join(got) or "none"
+    def record_twin(self, alloc, twin=None) -> None:
+        """Note the fused twin ``alloc`` got, by its exact type name:
+        ``fast+slow`` for one that serves refill shapes too, ``fast`` for
+        one that declines them, ``none`` without a twin."""
+        if twin is None:
+            got = "none"
+        else:
+            got = "fast+slow" if twin.refills else "fast"
+        self.twins[type(alloc).__name__] = got
 
     def advance(self, cycles: int) -> None:
         if cycles < 0:
@@ -98,14 +102,6 @@ class Emitter:
     functional = False
     """Class-level flag the allocator's ``_finish`` branches on: a detailed
     emitter builds and schedules, a :class:`FunctionalEmitter` does not."""
-
-    touches_hierarchy = True
-    """Whether memory-facing methods move cache/TLB state.  Hot emit helpers
-    (size-class lookup, free-list ops, the sampling countdown) check
-    ``not em.touches_hierarchy`` to take a fused functional shortcut: same
-    memory/list/predictor state transitions, none of the per-uop ceremony.
-    Only :class:`FunctionalEmitter` (skip mode) clears it — detailed and
-    warming emitters must see every access."""
 
     def __init__(self, machine: Machine) -> None:
         self.machine = machine
@@ -208,7 +204,6 @@ class FunctionalEmitter:
     """
 
     functional = True
-    touches_hierarchy = False
 
     __slots__ = ("machine", "_mem_read", "_mem_write", "_predict")
 
@@ -267,8 +262,6 @@ class WarmingEmitter(FunctionalEmitter):
     stretch, L1/L2/TLB contents are bit-identical to an exact replay of the
     same ops — this is the SMARTS warmup slack before a detailed interval
     (and the whole-stream mode under ``cache_warming='always'``)."""
-
-    touches_hierarchy = True
 
     __slots__ = ("_h_read", "_h_write", "_tlb")
 

@@ -1,4 +1,4 @@
-"""Fused priced twins of the interned allocator fast paths (columnar engine).
+"""Fused priced twins of the interned allocator calls (columnar engine).
 
 Under the reference engine every allocator call walks the emission stack:
 ``TCMalloc.malloc`` calls into the sampler, the size-class table, the thread
@@ -6,38 +6,53 @@ cache and the free list, each of which drives an :class:`~repro.alloc.context
 .Emitter` one micro-op at a time.  Profiling the columnar engine shows that
 ~90% of replay wall time is this ceremony — context-manager wrappers, token
 appends, per-uop ``TraceBuilder`` method calls — while the *outputs* of a
-fast-path call are tiny: a token tuple, a latency tuple, and a handful of
-state transitions.
+call are tiny: a token tuple, a latency tuple, and a handful of state
+transitions.
 
-This module fuses each fast-path shape into straight-line code (a *priced
-twin* of the emitting path): the exact same primitive sequence — simulated
-memory reads/writes, cache-hierarchy demand accesses, TLB walks, branch
-predictions, malloc-cache operations — executes in emitter order, assembling
-the token, latency and address tuples directly, and the result goes through
-the refill twins' tail (:func:`repro.alloc.slowpath._finish`): interned by
-``(site, tokens)``, with the static structure compiled from the tokens by
-:func:`repro.alloc.slowpath.compile_struct` only when the interner misses,
-so the steady state allocates no uops at all.  Cycle counts, runner
-statistics, cache/TLB/predictor state and intern/trace-cache counters are
-byte-identical to the reference path; the differential grid in
+This module fuses Figure 3's walk (sampling countdown, size-class lookup,
+free-list pop or push, length and size metadata) into straight-line code,
+one *priced twin* per allocator type: the exact same primitive sequence —
+simulated memory reads/writes, cache-hierarchy demand accesses, TLB walks,
+branch predictions, malloc-cache operations — executes in emitter order,
+assembling the token, latency and address tuples directly, and the result
+goes through the shared tail (:func:`repro.alloc.slowpath._finish`):
+interned by ``(site, tokens)``, with the static structure compiled from the
+tokens by :func:`repro.alloc.slowpath.compile_struct` only when the
+interner misses, so the steady state allocates no uops at all.  Cycle
+counts, runner statistics, cache/TLB/predictor state and intern/trace-cache
+counters are byte-identical to the reference path; the differential grid in
 ``tests/integration/test_hot_path_differential.py`` holds both engines to
 that.
 
-The twins serve detailed calls and the sampled replay's warm calls.  A warm
-call makes every cache, TLB, predictor, memory and malloc-cache transition
-of a detailed one, then ends as ``TCMalloc._finish``'s functional branch
-does: a zero-cycle record, nothing interned or priced, the clock left
-alone; its Mallacc prefetch gets no issue-slot estimate, as under the
-:class:`~repro.alloc.context.WarmingEmitter`.  Skip-mode fast shapes are
-the flat ``fast_forward_malloc``/``fast_forward_free`` paths'.
+A refill shape — an empty list on malloc; on free, a push that overflows
+the list or the thread-cache budget — runs the refill machinery the twins
+inherit from :mod:`repro.alloc.slowpath` on a per-call recorder (``_PASSES``)
+and splices its latencies, addresses and tokens into the walk right after
+the ``tc_list_empty`` or ``tc_list_too_long`` branch; the refill decides
+the site and path (``malloc:central`` or ``malloc:page``; ``free:slow``).
+:class:`JemallocFastPath` declines refills: jemalloc's fill/flush
+discipline is not that machinery's.
+
+Modes (``Machine.warming``).  A detailed call is interned and priced.  A
+warm call makes every cache, TLB, predictor, memory and malloc-cache
+transition of a detailed one, then ends as ``TCMalloc._finish``'s
+functional branch does: a zero-cycle record, nothing interned or priced,
+the clock left alone; its Mallacc prefetch gets no issue-slot estimate, as
+under the :class:`~repro.alloc.context.WarmingEmitter`.  A skip call makes
+no cache or TLB probe either, and its Mallacc prefetch lands at the call's
+clock plus the L1 latency (the :class:`~repro.alloc.context
+.FunctionalEmitter` contract).  The twins take skip calls of refill shapes
+only: skip-mode fast shapes are the flat
+``fast_forward_malloc``/``fast_forward_free`` paths'.
 
 Twins activate only when the columnar engine is selected at allocator
-construction time and the machine interns traces; they handle exactly the
-fast-path shapes (``malloc:fast`` / ``free:fast``) and return ``None`` to
-fall back to the ordinary emitting path on *any* slow-path condition.  Every
-fallback check is a pure read performed before the first mutation, so the
-reference implementation then runs from untouched state — including error
-paths, which raise at the same point with the same message.
+construction time and the machine interns traces, and return ``None`` to
+fall back to the emitting object path on every call they do not cover:
+invalid arguments, sampler and PMU triggers, large spans, double frees and
+inconsistent malloc-cache entries.  Every fallback check is a pure read
+performed before the first mutation, so the object path then runs from
+untouched state — including error paths, which raise at the same point with
+the same message.
 
 Value-discarding loads (the sampling countdown read, the metadata length
 read) skip the pure ``memory.read_word`` call but still pay the hierarchy
@@ -47,14 +62,22 @@ Registration is by exact allocator type (:func:`register_fastpath` /
 :func:`fastpath_for`): subclasses that override emission hooks do not
 inherit a twin unless they register their own, and a subclass whose hooks
 are exactly a registered type's registers that type's twin.  Each machine
-records the twins its allocators got and counts the calls no twin served
+records the twin its allocators got and counts the calls no twin served
 (``Machine.twins`` / ``Machine.object_path_calls``).
 """
 
 from __future__ import annotations
 
 from repro.alloc.size_classes import class_index
-from repro.alloc.slowpath import _finish, _pagemap_words, _sz_commit, _sz_scan
+from repro.alloc.slowpath import (
+    _PASSES,
+    MallaccRefill,
+    TCMallocRefill,
+    _finish,
+    _pagemap_words,
+    _sz_commit,
+    _sz_scan,
+)
 from repro.sim.memory import NULL
 
 
@@ -75,7 +98,9 @@ def _free_tokens(lookup: tuple) -> tuple:
 
 #: Figure 5's lookup notes nothing; jemalloc's notes its one-shift index.
 _SIZE2INDEX = (("size2index", True),)
-#: Indexed ``[size2index][sampling]`` and ``[size2index][sized]``.
+#: Indexed ``[size2index][sampling]`` and ``[size2index][sized]``.  A
+#: refill shape swaps the last token for the taken branch and appends the
+#: refill's tokens.
 _TOK_MALLOC = (_malloc_tokens(()), _malloc_tokens(_SIZE2INDEX))
 _TOK_FREE = (_free_tokens(()), _free_tokens(_SIZE2INDEX))
 #: Latencies of the lookup's index alus (add and shift, or one shift),
@@ -83,12 +108,17 @@ _TOK_FREE = (_free_tokens(()), _free_tokens(_SIZE2INDEX))
 _INDEX_ALUS = ((1, 1), (1,))
 
 
+def _no_probe(addr: int) -> int:
+    """A skip call's hierarchy or TLB access: no probe."""
+    return 0
+
+
 # --------------------------------------------------------------------------
 # The twins.
 
 
-class TCMallocFastPath:
-    """Fused twin of the software fast paths (baseline TCMalloc, and
+class TCMallocFastPath(TCMallocRefill):
+    """Fused twin of the software allocator (baseline TCMalloc, and
     jemalloc through :class:`JemallocFastPath`)."""
 
     __slots__ = ("alloc",)
@@ -98,24 +128,18 @@ class TCMallocFastPath:
     #: path notes it as a token, so the two lookups never share a template.
     size2index = False
 
+    #: Whether the twin serves refill shapes (``Machine.twins`` records
+    #: ``fast+slow``) or declines them to the object path (``fast``).
+    refills = True
+
     def __init__(self, alloc) -> None:
         self.alloc = alloc
-
-    # -- shared guards ------------------------------------------------------
-    def _machine(self):
-        # Detailed and warm calls.  A skip-mode fast shape is the flat
-        # fast_forward_* paths' (the sampled replay tries them first), and
-        # what they decline is no fast shape.
-        m = self.alloc.machine
-        if m.warming == "skip" or m.interner is None:
-            return None
-        return m
 
     # -- malloc -------------------------------------------------------------
     def malloc(self, size: int):
         a = self.alloc
-        m = self._machine()
-        if m is None:
+        m = a.machine
+        if m.interner is None:
             return None
         config = a.config
         if size <= 0 or size > config.max_size:
@@ -130,16 +154,24 @@ class TCMallocFastPath:
         cl = table.class_array[idx]
         tc = a.thread_cache
         flist = tc.lists[cl]
-        if flist.length == 0:
-            return None
+        warming = m.warming
+        refill = flist.length == 0
+        if refill:
+            if not self.refills:
+                return None
+        elif warming == "skip":
+            return None  # the flat fast_forward_malloc's
 
-        # All slow-path conditions cleared: commit.  From here the primitive
+        # All fallback conditions cleared: commit.  From here the primitive
         # sequence mirrors the emitting path exactly.
         clock0 = m.clock
-        hierarchy = m.hierarchy
-        h_read = hierarchy.demand_access
-        h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
-        tlb = m.tlb.access
+        if warming == "skip":
+            h_read = h_write = tlb = _no_probe
+        else:
+            hierarchy = m.hierarchy
+            h_read = hierarchy.demand_access
+            h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
+            tlb = m.tlb.access
         memory = m.memory
         mem_read = memory.read_word
         mem_write = memory.write_word
@@ -161,7 +193,14 @@ class TCMallocFastPath:
         size_word = table.class_to_size_addr + (cl << 3)
         lat_size = h_read(size_word) + tlb(size_word)
 
-        p_empty = predict("tc_list_empty", False)
+        p_empty = predict("tc_list_empty", refill)
+        site, path, tokens = "malloc:fast", _PATH_FAST, _TOK_MALLOC[s2i][sampling]
+        refill_lats = refill_addrs = ()
+        if refill:
+            p = _PASSES[warming](m)
+            site, path = self._refill_malloc(p, a, cl, flist)
+            tokens = (*tokens[:-1], ("tc_list_empty", True), *p.toks)
+            refill_lats, refill_addrs = p.lats, p.addrs
         header = flist.header_addr
         lat_header = h_read(header) + tlb(header)
         head = mem_read(header)
@@ -193,37 +232,36 @@ class TCMallocFastPath:
         if head in live:
             raise AssertionError(f"allocator returned live pointer {head:#x}")
         live[head] = (size, cl)
-        if m.warming is not None:
-            return head, a._finish_functional("malloc", size, cl, _PATH_FAST, head, clock0)
+        if warming is not None:
+            return head, a._finish_functional("malloc", size, cl, path, head, clock0)
 
         lats = (
             1, 1, 1, 1, 1, 1,
             *((lat_counter, 1, 1 + p_sample, 1) if sampling else ()),
             1 + p_small,
             *_INDEX_ALUS[s2i], lat_array, lat_size,
-            1, 1 + p_empty,
+            1, 1 + p_empty, *refill_lats,
             lat_header, lat_head, 1,
             lat_len, 1, 1, lat_field, 1, 1,
             1, 1, 1, 1, 1,
         )
         addrs = (
             *((counter, counter) if sampling else ()),
-            array_word, size_word,
+            array_word, size_word, *refill_addrs,
             header, head, header,
             length_addr, length_addr, size_field, size_field,
         )
         record = _finish(
-            a, m, "malloc:fast", _TOK_MALLOC[s2i][sampling], lats, addrs,
-            kind="malloc", size=size, cl=cl, path=_PATH_FAST, ptr=head,
-            clock0=clock0,
+            a, m, site, tokens, lats, addrs,
+            kind="malloc", size=size, cl=cl, path=path, ptr=head, clock0=clock0,
         )
         return head, record
 
     # -- free ---------------------------------------------------------------
     def free(self, ptr: int, sized_hint: int | None):
         a = self.alloc
-        m = self._machine()
-        if m is None:
+        m = a.machine
+        if m.interner is None:
             return None
         entry = a.live.get(ptr)
         if entry is None:
@@ -243,19 +281,26 @@ class TCMallocFastPath:
                 return None
         tc = a.thread_cache
         flist = tc.lists[cl]
-        if flist.length >= flist.max_length:
-            return None
         alloc_size = table.class_to_size[cl]
-        if tc.size_bytes + alloc_size >= config.max_thread_cache_size:
-            return None
+        too_long = flist.length >= flist.max_length
+        warming = m.warming
+        refill = too_long or tc.size_bytes + alloc_size >= config.max_thread_cache_size
+        if refill:
+            if not self.refills:
+                return None
+        elif warming == "skip":
+            return None  # the flat fast_forward_free's
         if ptr in flist._contents:
             return None
 
         clock0 = m.clock
-        hierarchy = m.hierarchy
-        h_read = hierarchy.demand_access
-        h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
-        tlb = m.tlb.access
+        if warming == "skip":
+            h_read = h_write = tlb = _no_probe
+        else:
+            hierarchy = m.hierarchy
+            h_read = hierarchy.demand_access
+            h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
+            tlb = m.tlb.access
         memory = m.memory
         mem_read = memory.read_word
         mem_write = memory.write_word
@@ -288,9 +333,17 @@ class TCMallocFastPath:
         h_write(length_addr)
         tlb(length_addr)
         tc.size_bytes += alloc_size
-        p_long = m.predictor.predict("tc_list_too_long", False)
-        if m.warming is not None:
-            return a._finish_functional("free", size, cl, _PATH_FREE_FAST, ptr, clock0)
+        p_long = m.predictor.predict("tc_list_too_long", too_long)
+        site, path, tokens = "free:fast", _PATH_FREE_FAST, _TOK_FREE[s2i][sized]
+        refill_lats = refill_addrs = ()
+        if refill:
+            p = _PASSES[warming](m)
+            self._refill_free(p, a, cl, too_long)
+            site, path = "free:slow", _PATH_FREE_SLOW
+            tokens = (*tokens[:-1], ("tc_list_too_long", too_long), *p.toks)
+            refill_lats, refill_addrs = p.lats, p.addrs
+        if warming is not None:
+            return a._finish_functional("free", size, cl, path, ptr, clock0)
 
         lats = (
             1, 1, 1, 1, 1, 1,
@@ -299,26 +352,28 @@ class TCMallocFastPath:
             1,
             lat_header, 1, 1,
             lat_len, 1, 1,
-            1 + p_long,
+            1 + p_long, *refill_lats,
             1, 1, 1, 1, 1,
         )
-        addrs = (word0, word1, header, header, ptr, length_addr, length_addr)
+        addrs = (word0, word1, header, header, ptr, length_addr, length_addr,
+                 *refill_addrs)
         return _finish(
-            a, m, "free:fast", _TOK_FREE[s2i][sized], lats, addrs,
-            kind="free", size=size, cl=cl, path=_PATH_FREE_FAST, ptr=ptr,
-            clock0=clock0,
+            a, m, site, tokens, lats, addrs,
+            kind="free", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
         )
 
 
 class JemallocFastPath(TCMallocFastPath):
-    """The jemalloc fast paths: TCMalloc's with the size2index lookup."""
+    """The jemalloc twin: TCMalloc's fast shapes with the size2index
+    lookup; it declines refills."""
 
     __slots__ = ()
     size2index = True
+    refills = False
 
 
-class MallaccFastPath(TCMallocFastPath):
-    """Fused twin of the Mallacc-accelerated fast paths.
+class MallaccFastPath(MallaccRefill, TCMallocFastPath):
+    """Fused twin of the Mallacc-accelerated allocator.
 
     The malloc-cache operations (``szlookup``/``szupdate``/``hdpop``/
     ``hdpush``/``nxtprefetch``) run against the real :class:`~repro.core
@@ -326,15 +381,17 @@ class MallaccFastPath(TCMallocFastPath):
     are identical to the emitting path.  ``szlookup`` alone is replicated
     inline (same scan order) so its entry can be sanity-checked *before* the
     stats/LRU mutation — an inconsistent entry falls back to the reference
-    path, which raises at its usual point.
+    path, which raises at its usual point.  A refill records into the call's
+    own latency and address lists, so list-op positions and prefetch issue
+    estimates count the whole call.
     """
 
     __slots__ = ()
 
     def malloc(self, size: int):
         a = self.alloc
-        m = self._machine()
-        if m is None:
+        m = a.machine
+        if m.interner is None:
             return None
         config = a.config
         if size <= 0 or size > config.max_size:
@@ -347,8 +404,10 @@ class MallaccFastPath(TCMallocFastPath):
         cl = table.class_array[class_index(size)]
         tc = a.thread_cache
         flist = tc.lists[cl]
-        if flist.length == 0:
-            return None
+        warming = m.warming
+        refill = flist.length == 0
+        if not refill and warming == "skip":
+            return None  # the flat fast_forward_malloc's
         isa = a.isa
         cache = isa.cache
         alloc_size = table.class_to_size[cl]
@@ -360,14 +419,18 @@ class MallaccFastPath(TCMallocFastPath):
 
         clock0 = m.clock
         hierarchy = m.hierarchy
-        h_read = hierarchy.demand_access
-        h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
-        tlb = m.tlb.access
+        if warming == "skip":
+            h_read = h_write = tlb = _no_probe
+        else:
+            h_read = hierarchy.demand_access
+            h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
+            tlb = m.tlb.access
         memory = m.memory
         mem_read = memory.read_word
         mem_write = memory.write_word
         predict = m.predictor.predict
-        warm = m.warming is not None
+        if refill:
+            isa.begin_call()
 
         if sampling:
             pmu.accumulated += size
@@ -389,7 +452,13 @@ class MallaccFastPath(TCMallocFastPath):
             addrs += (array_word, size_word)
             cache.szupdate(size, alloc_size, cl)
         lats.append(1)  # list-address lea
-        lats.append(1 + predict("tc_list_empty", False))
+        lats.append(1 + predict("tc_list_empty", refill))
+        site, path, refill_toks = "malloc:fast", _PATH_FAST, ()
+        if refill:
+            p = _PASSES[warming](m)
+            p.lats, p.addrs = lats, addrs
+            site, path = self._refill_malloc(p, a, cl, flist)
+            refill_toks = p.toks
 
         pentry, head, next_ptr, stall = cache.hdpop(cl, clock0)
         pop_uop = len(lats)
@@ -436,15 +505,20 @@ class MallaccFastPath(TCMallocFastPath):
         do_prefetch = new_head != NULL
         if do_prefetch:
             head_next = mem_read(new_head)
-            mem_latency = hierarchy.prefetch(new_head)
             prefetch_uop = len(lats)
-            lats.append(1)
-            addrs.append(new_head)
             isa._order_uop = prefetch_uop
-            # WarmingEmitter numbers every uop 0: a warm call's prefetch has
-            # no issue-slot estimate.
-            issue_estimate = 0 if warm else prefetch_uop // m.timing.config.issue_width
-            cache.nxtprefetch(cl, new_head, head_next, clock0 + issue_estimate + mem_latency)
+            if refill:
+                ready = p.prefetch(new_head)
+            else:
+                # A fast shape is detailed or warm.  WarmingEmitter numbers
+                # every uop 0: a warm call's prefetch has no issue-slot
+                # estimate.
+                ready = clock0 + hierarchy.prefetch(new_head)
+                if warming is None:
+                    ready += prefetch_uop // m.timing.config.issue_width
+                lats.append(1)
+                addrs.append(new_head)
+            cache.nxtprefetch(cl, new_head, head_next, ready)
         else:
             isa._order_uop = pop_uop
 
@@ -469,30 +543,30 @@ class MallaccFastPath(TCMallocFastPath):
         if head in live:
             raise AssertionError(f"allocator returned live pointer {head:#x}")
         live[head] = (size, cl)
-        if warm:
-            return head, a._finish_functional("malloc", size, cl, _PATH_FAST, head, clock0)
+        if warming is not None:
+            return head, a._finish_functional("malloc", size, cl, path, head, clock0)
 
         tokens = [
             ("sampled", False),
             ("malloc_is_small", True),
             ("mcsz_hit", not sz_hit),
-            ("tc_list_empty", False),
+            ("tc_list_empty", refill),
+            *refill_toks,
             ("mchd_hit", not hd_hit),
         ]
         if hd_hit:
-            tokens.insert(5, ("mchd_head_only", head_only))
+            tokens.append(("mchd_head_only", head_only))
         tokens.append(("nxtprefetch", do_prefetch))
         record = _finish(
-            a, m, "malloc:fast", tuple(tokens), tuple(lats), tuple(addrs),
-            kind="malloc", size=size, cl=cl, path=_PATH_FAST, ptr=head,
-            clock0=clock0,
+            a, m, site, tuple(tokens), tuple(lats), tuple(addrs),
+            kind="malloc", size=size, cl=cl, path=path, ptr=head, clock0=clock0,
         )
         return head, record
 
     def free(self, ptr: int, sized_hint: int | None):
         a = self.alloc
-        m = self._machine()
-        if m is None:
+        m = a.machine
+        if m.interner is None:
             return None
         entry = a.live.get(ptr)
         if entry is None:
@@ -516,23 +590,29 @@ class MallaccFastPath(TCMallocFastPath):
                 return None
         tc = a.thread_cache
         flist = tc.lists[cl]
-        if flist.length >= flist.max_length:
-            return None
         alloc_size = table.class_to_size[cl]
-        if tc.size_bytes + alloc_size >= config.max_thread_cache_size:
-            return None
+        too_long = flist.length >= flist.max_length
+        warming = m.warming
+        refill = too_long or tc.size_bytes + alloc_size >= config.max_thread_cache_size
+        if not refill and warming == "skip":
+            return None  # the flat fast_forward_free's
         if ptr in flist._contents:
             return None
 
         clock0 = m.clock
-        hierarchy = m.hierarchy
-        h_read = hierarchy.demand_access
-        h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
-        tlb = m.tlb.access
+        if warming == "skip":
+            h_read = h_write = tlb = _no_probe
+        else:
+            hierarchy = m.hierarchy
+            h_read = hierarchy.demand_access
+            h_write = h_read if hierarchy._fast_demand else hierarchy._access_write
+            tlb = m.tlb.access
         memory = m.memory
         mem_read = memory.read_word
         mem_write = memory.write_word
         predict = m.predictor.predict
+        if refill:
+            isa.begin_call()
 
         del a.live[ptr]
         lats = [1, 1, 1, 1, 1, 1]
@@ -593,27 +673,33 @@ class MallaccFastPath(TCMallocFastPath):
         h_write(length_addr)
         tlb(length_addr)
         lats += [1, 1]
+        addrs += (header, ptr, length_addr, length_addr)
         tc.size_bytes += alloc_size
-        lats.append(1 + predict("tc_list_too_long", False))
-        if m.warming is not None:
-            return a._finish_functional("free", size, cl, _PATH_FREE_FAST, ptr, clock0)
+        lats.append(1 + predict("tc_list_too_long", too_long))
+        site, path, refill_toks = "free:fast", _PATH_FREE_FAST, ()
+        if refill:
+            p = _PASSES[warming](m)
+            p.lats, p.addrs = lats, addrs
+            self._refill_free(p, a, cl, too_long)
+            site, path, refill_toks = "free:slow", _PATH_FREE_SLOW, p.toks
+        if warming is not None:
+            return a._finish_functional("free", size, cl, path, ptr, clock0)
         lats += [1, 1, 1, 1, 1]
 
         tokens = [("sized", sized)]
         if sized:
             tokens.append(("mcsz_hit", not sz_hit))
         tokens.append(("mchdpush_hit", push_hit))
-        tokens.append(("tc_list_too_long", False))
-        addrs += (header, ptr, length_addr, length_addr)
+        tokens.append(("tc_list_too_long", too_long))
+        tokens += refill_toks
         return _finish(
-            a, m, "free:fast", tuple(tokens), tuple(lats), tuple(addrs),
-            kind="free", size=size, cl=cl, path=_PATH_FREE_FAST, ptr=ptr,
-            clock0=clock0,
+            a, m, site, tuple(tokens), tuple(lats), tuple(addrs),
+            kind="free", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
         )
 
 
 # --------------------------------------------------------------------------
-# Registry: exact allocator type -> twin factory.  Subclasses that override
+# Registry: exact allocator type -> its one twin.  Subclasses that override
 # emission hooks must register their own twin (or run without one).
 
 _REGISTRY: dict[type, type] = {}
@@ -634,6 +720,7 @@ from repro.alloc.allocator import TCMalloc as _TCMalloc  # noqa: E402
 
 _PATH_FAST = _Path.FAST
 _PATH_FREE_FAST = _Path.FREE_FAST
+_PATH_FREE_SLOW = _Path.FREE_SLOW
 
 register_fastpath(_TCMalloc, TCMallocFastPath)
 

@@ -105,18 +105,6 @@ class FreeList:
         """
         if self.length == 0:
             raise IndexError("emit_pop on empty free list")
-        if not em.touches_hierarchy:
-            # Functional fast-forward: identical memory/list transitions to
-            # the emitting path below, fused into direct memory calls.
-            mem = self.memory
-            head = mem.read_word(self.header_addr)
-            next_ptr = mem.read_word(head)
-            mem.write_word(self.header_addr, next_ptr)
-            self._contents.discard(head)
-            self.length -= 1
-            if self.length < self.low_water:
-                self.low_water = self.length
-            return PopResult(ptr=head, next_ptr=next_ptr, uop=0)
         head, head_uop = em.load_word(self.header_addr, deps=addr_dep, tag=Tag.PUSH_POP)
         next_ptr, next_uop = em.load_word(head, deps=(head_uop,), tag=Tag.PUSH_POP)
         em.store_word(self.header_addr, next_ptr, deps=(next_uop,), tag=Tag.PUSH_POP)
@@ -131,14 +119,6 @@ class FreeList:
         uop index of the header load."""
         if ptr in self._contents:
             raise ValueError(f"double free of {ptr:#x}")
-        if not em.touches_hierarchy:
-            mem = self.memory
-            old_head = mem.read_word(self.header_addr)
-            mem.write_word(self.header_addr, ptr)
-            mem.write_word(ptr, old_head)
-            self._contents.add(ptr)
-            self.length += 1
-            return 0
         old_head, head_uop = em.load_word(self.header_addr, deps=addr_dep, tag=Tag.PUSH_POP)
         em.store_word(self.header_addr, ptr, deps=(head_uop,), tag=Tag.PUSH_POP)
         em.store_word(ptr, old_head, deps=(head_uop,), tag=Tag.PUSH_POP)
@@ -185,9 +165,6 @@ class FreeList:
         """Length/total-size bookkeeping: part of the ~50% of fast-path
         cycles *not* covered by the three main components (Section 3.3)."""
         length_addr = self.header_addr + 8
-        if not em.touches_hierarchy:
-            self.memory.write_word(length_addr, self.length)
-            return
         _, len_uop = em.load_word(length_addr, deps=deps, tag=Tag.METADATA)
         upd = em.alu(deps=(len_uop,), tag=Tag.METADATA)
         em.store_word(length_addr, self.length, deps=(upd,), tag=Tag.METADATA)

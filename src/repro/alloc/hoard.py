@@ -265,11 +265,6 @@ class HoardAllocator:
     def reserved_bytes(self) -> int:
         return len(self.by_base) * SUPERBLOCK_BYTES
 
-    def heap_bytes(self, heap: int) -> int:
-        return sum(
-            len(blocks) * SUPERBLOCK_BYTES for blocks in self.heaps[heap].values()
-        )
-
     def check_invariants(self) -> None:
         """Every block is in exactly one place; per-superblock accounting
         matches its free list; ownership is consistent."""

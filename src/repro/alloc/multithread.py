@@ -227,13 +227,11 @@ class MultiThreadAllocator:
         self.shared.page_heap.check_invariants()
 
 
-# Columnar-engine twins for thread views.  A _ThreadView is
+# Columnar-engine twin for thread views.  A _ThreadView is
 # MallaccFastPathMixin over TCMalloc, exactly like MallaccTCMalloc, so every
-# emission hook it has is MallaccTCMalloc's and both Mallacc twins mirror it:
+# emission hook it has is MallaccTCMalloc's and the Mallacc twin mirrors it:
 # per-thread fast paths and refills (with the lock/transfer-cache state the
-# differential grid pins) emit through the fused twins.
+# differential grid pins) emit through the fused twin.
 from repro.alloc.fastpath import MallaccFastPath, register_fastpath  # noqa: E402
-from repro.alloc.slowpath import MallaccSlowPath, register_slowpath  # noqa: E402
 
 register_fastpath(_ThreadView, MallaccFastPath)
-register_slowpath(_ThreadView, MallaccSlowPath)

@@ -46,16 +46,6 @@ class Sampler:
         Returns True if this allocation is sampled."""
         if not self.config.sampling_enabled:
             return False
-        if not em.touches_hierarchy:
-            # Functional fast-forward: countdown, counter word, and branch
-            # predictor advance exactly as below, without the uop ceremony.
-            self.bytes_until_sample -= size
-            sampled = self.bytes_until_sample <= 0
-            em.branch("sample_threshold", taken=sampled)
-            self.machine.memory.write_word(
-                self.counter_addr, max(self.bytes_until_sample, 0)
-            )
-            return sampled
         _, counter_uop = em.load_word(self.counter_addr, tag=Tag.SAMPLING)
         sub = em.alu(deps=(counter_uop,), tag=Tag.SAMPLING)
         self.bytes_until_sample -= size

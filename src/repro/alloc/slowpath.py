@@ -1,20 +1,23 @@
-"""Fused priced twins of the interned refill slow paths (columnar engine).
+"""The refill machinery of the fused twins, and the shared twin tail.
 
-:mod:`repro.alloc.fastpath` fused the loop-free fast paths; this module does
-the same for the *refill machinery* — the emission stacks behind
-``malloc:central``, ``malloc:page`` and ``free:slow``:
+:mod:`repro.alloc.fastpath` fuses Figure 3's walk into one priced twin per
+allocator.  A refill shape of that walk — ``malloc:central``,
+``malloc:page`` and ``free:slow`` — splices in the machinery this module
+holds (:class:`TCMallocRefill`, and :class:`MallaccRefill`'s list
+operations):
 
+* ``ThreadCache._fetch_from_central`` / ``_list_too_long`` / ``_scavenge``;
 * ``CentralFreeList.remove_range`` / ``insert_range``, including the
   transfer-cache park/unpark fast mid-tier and the lock/contention model;
 * ``PageHeap.allocate_span`` / ``free_span`` with the timed radix-pagemap
   probe chains, heap growth, span splitting/coalescing and OS release;
 * ``CentralFreeList._populate``'s span carving (one store per object).
 
-Each twin executes the same primitive sequence as straight-line code —
+Each piece executes the same primitive sequence as straight-line code —
 simulated memory reads/writes, hierarchy demand accesses, TLB walks, branch
-predictions, malloc-cache operations, lock bookkeeping — assembling the
-token and latency tuples directly, and interns the result via
-``interner.intern(site, tokens, latencies, materialize)``.
+predictions, malloc-cache operations, lock bookkeeping — on a per-call
+recorder (:class:`_Pass`), which accumulates tokens, latencies and
+addresses for the twin to splice into its own.
 
 Refill shapes are variable-length (batch moves, carve counts, probe chains),
 so every data-dependent decision is a structural token (``("carve", n)``,
@@ -23,39 +26,26 @@ is *compiled from the token stream* on first sight (:func:`compile_struct`)
 into one entry, with its static columns, keyed by ``(site, tokens)`` in a
 process-wide :class:`~repro.sim.columns.StructStore`.  The size class and
 every count are inside the tokens, so one compiled structure serves every
-call of that shape; ``materialize`` runs only on an intern miss.  The
-fast-path twins get their structures from the same compiler and share the
-intern/price/record tail (:func:`_finish`), so every twin shape is written
-down once.
+call of that shape; ``materialize`` runs only on an intern miss.  Every
+twin shape, fast or refill, gets its structure from the same compiler and
+goes through the same intern/price/record tail (:func:`_finish`), so every
+shape is written down once.
 
 Cycle counts, runner statistics, cache/TLB/predictor state, lock/contention
 counters and every intern/trace-cache counter are bit-identical to the
 reference engine (held to by the differential grid in
 ``tests/integration/test_hot_path_differential.py``).
 
-The refill twins serve all three modes of the sampled replay step, through
-the per-call recorder (:class:`_Pass`): a detailed call interns and prices
-as above; a warm call makes every cache, TLB, predictor, memory and
-malloc-cache transition of a detailed one and prices nothing (the
-:class:`~repro.alloc.context.WarmingEmitter` contract); a skip call makes
-no cache or TLB probe either (the :class:`~repro.alloc.context
-.FunctionalEmitter` contract).  Warm and skip calls end as
-``TCMalloc._finish``'s functional branch does: a zero-cycle record, no
-intern or trace-cache lookup, no clock advance
-(``tests/alloc/test_twin_modes.py`` holds them to the object path).
-
-Twins activate only under the columnar engine with interning on, and every
-fallback check is a pure read performed before the first mutation: fast
-shapes (the fast-path twin's domain), sampled calls, LARGE traffic, invalid
-arguments and inconsistent malloc-cache entries all return ``None`` so the
-reference implementation runs from untouched state.  Mid-emission error
-paths (double free inside a push, a foreign pointer in ``insert_range``,
-span over-fill) need no precheck: the twin performs the identical check at
+The recorder follows the sampled replay step's mode (:data:`_PASSES`): a
+detailed call records what the twin interns and prices; a warm call makes
+every cache, TLB, predictor, memory and malloc-cache transition of a
+detailed one (the :class:`~repro.alloc.context.WarmingEmitter` contract); a
+skip call makes no cache or TLB probe either (the :class:`~repro.alloc
+.context.FunctionalEmitter` contract).  Mid-refill error paths (a double
+free inside a batch push, a foreign pointer in ``insert_range``, span
+over-fill) need no precheck: the machinery performs the identical check at
 the identical point with identical prior mutations and raises the same
 exception.
-
-Registration is by exact allocator type (:func:`register_slowpath` /
-:func:`slowpath_for`), mirroring the fast-path registry.
 """
 
 from __future__ import annotations
@@ -385,16 +375,17 @@ _STRUCTS = StructStore(compile_struct)
 
 
 class _Pass:
-    """One twin call's recorder: hoisted primitives plus the token/latency/
-    address accumulators.  This one records a detailed call, which
-    :meth:`finish` interns and prices; :data:`_PASSES` picks the recorder by
-    the machine's ``warming``.
+    """One refill's recorder: hoisted primitives plus the token/latency/
+    address accumulators the twin splices into its call.  This one records
+    a detailed call; :data:`_PASSES` picks the recorder by the machine's
+    ``warming``.
 
     Dependence edges exist only in the compiled structure (latencies do not
     depend on them), so the hot pass never threads uop indices — the only
     positions that matter at runtime are the Mallacc list-op uops
     (``len(lats)`` before the append) for the ordering register and the
-    prefetch issue-slot estimate.
+    prefetch issue-slot estimate, which is why the Mallacc twin hands the
+    pass its own latency and address lists.
     """
 
     __slots__ = (
@@ -403,8 +394,8 @@ class _Pass:
     )
 
     probes = True
-    """Whether accesses probe the cache hierarchy and TLB.  The twins'
-    fused carve and transfer loops test it rather than call a no-op."""
+    """Whether accesses probe the cache hierarchy and TLB.  The fused carve
+    and transfer loops test it rather than call a no-op."""
 
     def __init__(self, m) -> None:
         self.lats: list[int] = []
@@ -473,17 +464,6 @@ class _Pass:
         self.addrs.append(addr)
         return self.clock + uop // self.issue_width + self.hierarchy.prefetch(addr)
 
-    def finish(self, a, m, site: str, **call):
-        """Intern, price and record the call (:func:`_finish`)."""
-        return _finish(a, m, site, tuple(self.toks), tuple(self.lats),
-                       tuple(self.addrs), **call)
-
-    def alu(self) -> None:
-        self.lats.append(1)
-
-    def alus(self, n: int) -> None:
-        self.lats.extend((1,) * n)
-
     def fixed(self, latency: int) -> None:
         self.lats.append(latency)
 
@@ -496,17 +476,14 @@ class _Pass:
 
 
 class _WarmPass(_Pass):
-    """Warm mode's recorder: every transition of a detailed call, nothing
-    priced; the call ends as ``TCMalloc._finish``'s functional branch."""
+    """Warm mode's recorder: every transition of a detailed call; the twin
+    prices nothing."""
 
     __slots__ = ()
 
     def prefetch(self, addr: int) -> int:
         # WarmingEmitter numbers every uop 0: no issue-slot estimate.
         return self.clock + self.hierarchy.prefetch(addr)
-
-    def finish(self, a, m, site: str, *, kind, size, cl, path, ptr, clock0):
-        return a._finish_functional(kind, size, cl, path, ptr, clock0)
 
 
 class _SkipPass(_WarmPass):
@@ -533,194 +510,42 @@ class _SkipPass(_WarmPass):
 #: The recorder for each ``Machine.warming`` value.
 _PASSES = {None: _Pass, "warm": _WarmPass, "skip": _SkipPass}
 
-_VETO = object()
-"""Sentinel from the ``_pre_*`` hooks: fall back before any mutation."""
-
 
 # --------------------------------------------------------------------------
-# The twins.
+# The refill machinery.
 
 
-class TCMallocSlowPath:
-    """Fused twin of the software refill slow paths (baseline TCMalloc).
+class TCMallocRefill:
+    """The software refill machinery, mixed into the fused twins
+    (:class:`~repro.alloc.fastpath.TCMallocFastPath`).
 
-    The malloc/free bodies are shared with :class:`MallaccSlowPath` through
-    small hooks (sampling, lookups, list pops/pushes) so the two variants
-    cannot drift structurally; everything else — the central-list, transfer
-    -cache and page-heap machinery — is identical between allocators by
-    construction.
+    Everything past the thread cache — the central-list, transfer-cache and
+    page-heap machinery — is identical between allocators by construction;
+    only the thread-cache list operations differ, which
+    :class:`MallaccRefill` overrides.  Every method records on the
+    call's :class:`_Pass` and takes the allocator as ``a``.
     """
 
-    __slots__ = ("alloc",)
+    __slots__ = ()
 
-    def __init__(self, alloc) -> None:
-        self.alloc = alloc
-
-    def _machine(self):
-        # Every mode: the recorder (_PASSES) follows the machine's warming.
-        m = self.alloc.machine
-        return None if m.interner is None else m
-
-    # -- malloc (central / page refills) ------------------------------------
-    def malloc(self, size: int):
-        a = self.alloc
-        m = self._machine()
-        if m is None:
-            return None
-        config = a.config
-        if size <= 0 or size > config.max_size:
-            return None
-        if self._sampling_would_trigger(a, size):
-            return None
-        table = a.table
-        cl = table.class_array[class_index(size)]
-        tc = a.thread_cache
-        flist = tc.lists[cl]
-        if flist.length != 0:
-            return None  # fast shape: the fast-path twin's domain
-        pre = self._pre_malloc_lookup(a, size, cl)
-        if pre is _VETO:
-            return None
-
-        # All fallback conditions cleared: commit.  From here the primitive
-        # sequence mirrors the emitting path exactly.
-        clock0 = m.clock
-        self._begin(a)
-        p = _PASSES[m.warming](m)
-        p.alus(6)
-        self._emit_sampling(p, a, size)
-        p.note(("sampled", False))
-        p.branch("malloc_is_small", True)
+    def _refill_malloc(self, p: _Pass, a, cl: int, flist) -> tuple:
+        """Refill an empty list; returns the call's ``(site, path)``, by
+        whether the refill took a span from the page heap."""
         heap = a.page_heap
-        populates0 = heap.stats.spans_allocated
-        self._emit_malloc_lookup(p, a, size, cl, pre)
-        p.alu()  # free-list address lea
-        p.branch("tc_list_empty", True)
+        spans0 = heap.stats.spans_allocated
         self._fetch(p, a, cl, flist)
-        if flist.length == 0:
-            raise AssertionError("fetch must leave at least one object")
-        ptr = self._pop(p, a, flist, cl)
-        self._metadata(p, flist)
-        self._size_update(p, tc)
-        tc.size_bytes -= table.class_to_size[cl]
-        p.alus(5)
+        if heap.stats.spans_allocated > spans0:
+            return "malloc:page", _PATH_PAGE
+        return "malloc:central", _PATH_CENTRAL
 
-        live = a.live
-        if ptr in live:
-            raise AssertionError(f"allocator returned live pointer {ptr:#x}")
-        live[ptr] = (size, cl)
-        if heap.stats.spans_allocated > populates0:
-            site, path = "malloc:page", _PATH_PAGE
-        else:
-            site, path = "malloc:central", _PATH_CENTRAL
-        record = p.finish(
-            a, m, site,
-            kind="malloc", size=size, cl=cl, path=path, ptr=ptr, clock0=clock0,
-        )
-        return ptr, record
-
-    # -- free (release / scavenge) ------------------------------------------
-    def free(self, ptr: int, sized_hint: int | None):
-        a = self.alloc
-        m = self._machine()
-        if m is None:
-            return None
-        entry = a.live.get(ptr)
-        if entry is None:
-            return None
-        size, cl = entry
-        if cl == 0:
-            return None  # whole-span free: rare, not interned
-        config = a.config
-        table = a.table
-        sized = sized_hint is not None
-        if sized:
-            if sized_hint <= 0 or sized_hint > config.max_size:
-                return None
-            if table.class_array[class_index(sized_hint)] != cl:
-                return None
-        pre = self._pre_free_lookup(a, sized_hint, cl)
-        if pre is _VETO:
-            return None
-        tc = a.thread_cache
-        flist = tc.lists[cl]
-        alloc_size = table.class_to_size[cl]
-        if (
-            flist.length < flist.max_length
-            and tc.size_bytes + alloc_size < config.max_thread_cache_size
-        ):
-            return None  # fast shape
-        if ptr in flist._contents:
-            return None  # double free: the reference raises, untouched state
-
-        clock0 = m.clock
-        self._begin(a)
-        p = _PASSES[m.warming](m)
-        del a.live[ptr]
-        p.alus(6)
-        p.note(("sized", sized))
-        self._emit_free_lookup(p, a, ptr, sized_hint, cl, pre)
-        p.alu()  # free-list address lea
-        self._push(p, a, flist, cl, ptr)
-        self._metadata(p, flist)
-        tc.size_bytes += alloc_size
-        too_long = flist.length > flist.max_length
-        p.branch("tc_list_too_long", too_long)
+    def _refill_free(self, p: _Pass, a, cl: int, too_long: bool) -> None:
+        """Release after a push that overflowed the list (``too_long``) or
+        the thread-cache budget: ListTooLong, then the scavenge if the cache
+        is still over budget."""
         if too_long:
             self._list_too_long(p, a, cl)
-        if tc.size_bytes >= config.max_thread_cache_size:
+        if a.thread_cache.size_bytes >= a.config.max_thread_cache_size:
             self._scavenge(p, a)
-        p.alus(5)
-        return p.finish(
-            a, m, "free:slow",
-            kind="free", size=size, cl=cl, path=_PATH_FREE_SLOW, ptr=ptr,
-            clock0=clock0,
-        )
-
-    # -- per-allocator hooks (overridden by MallaccSlowPath) -----------------
-    def _begin(self, a) -> None:
-        pass
-
-    def _sampling_would_trigger(self, a, size: int) -> bool:
-        return a.config.sampling_enabled and a.sampler.bytes_until_sample - size <= 0
-
-    def _emit_sampling(self, p: _Pass, a, size: int) -> None:
-        if not a.config.sampling_enabled:
-            return
-        sampler = a.sampler
-        counter = sampler.counter_addr
-        p.load_priced(counter)
-        p.alu()
-        remaining = sampler.bytes_until_sample - size
-        sampler.bytes_until_sample = remaining
-        p.branch("sample_threshold", False)
-        p.store(counter, remaining if remaining > 0 else 0)
-
-    def _pre_malloc_lookup(self, a, size: int, cl: int):
-        return None
-
-    def _emit_malloc_lookup(self, p: _Pass, a, size: int, cl: int, pre) -> None:
-        table = a.table
-        p.alu()
-        p.alu()
-        p.load_priced(table.class_array_addr + (class_index(size) // 8) * 8)
-        p.load_priced(table.class_to_size_addr + cl * 8)
-
-    def _pre_free_lookup(self, a, sized_hint, cl: int):
-        return None
-
-    def _emit_free_lookup(self, p: _Pass, a, ptr: int, sized_hint, cl: int, pre) -> None:
-        if sized_hint is not None:
-            table = a.table
-            p.alu()
-            p.alu()
-            p.load_priced(table.class_array_addr + (class_index(sized_hint) // 8) * 8)
-            p.load_priced(table.class_to_size_addr + cl * 8)
-        else:
-            word0, word1 = _pagemap_words(a.page_heap, ptr)
-            p.alu()
-            p.load_priced(word0)
-            p.load_priced(word1)
 
     # -- thread-cache list operations ---------------------------------------
     def _pop(self, p: _Pass, a, flist, cl: int) -> int:
@@ -737,20 +562,11 @@ class TCMallocSlowPath:
             flist.low_water = length
         return head
 
-    def _push(self, p: _Pass, a, flist, cl: int, ptr: int) -> None:
-        if ptr in flist._contents:
-            raise ValueError(f"double free of {ptr:#x}")
-        header = flist.header_addr
-        old_head = p.load(header)
-        p.store(header, ptr)
-        p.store(ptr, old_head)
-        flist._contents.add(ptr)
-        flist.length += 1
-
     def _push_run(self, p: _Pass, a, flist, cl: int, ptrs: list[int]) -> None:
         """Batch-push fused into one frame — access-for-access identical to
-        ``len(ptrs)`` individual ``_push`` calls.  Safe here because the base
-        ``_push`` never reads ``flist.length`` or ``low_water`` mid-run."""
+        ``len(ptrs)`` Figure 7 pushes (a header load, then the header and
+        link stores).  Safe because a software push never reads
+        ``flist.length`` or ``low_water`` mid-run."""
         contents = flist._contents
         header = flist.header_addr
         h_read = p.h_read
@@ -782,20 +598,6 @@ class TCMallocSlowPath:
                 addrs_append(header)
                 addrs_append(ptr)
         flist.length += len(ptrs)
-
-    # -- metadata -----------------------------------------------------------
-    def _metadata(self, p: _Pass, flist) -> None:
-        length_addr = flist.header_addr + 8
-        p.load_priced(length_addr)
-        p.alu()
-        p.store(length_addr, flist.length)
-
-    def _size_update(self, p: _Pass, tc) -> None:
-        size_field = tc.lists[0].header_addr + 16
-        p.load_priced(size_field)
-        p.alu()
-        sb = tc.size_bytes
-        p.store(size_field, sb if sb > 0 else 0)
 
     # -- central-cache refill -----------------------------------------------
     def _fetch(self, p: _Pass, a, cl: int, flist) -> None:
@@ -1119,80 +921,15 @@ class TCMallocSlowPath:
             flist.low_water = flist.length
 
 
-class MallaccSlowPath(TCMallocSlowPath):
-    """Fused twin of the refill slow paths on a Mallacc allocator.
-
-    Only the per-call hooks differ from the baseline: sampling rides the
-    PMU, size-class lookups go through the malloc cache, and every
-    thread-cache push/pop is an ``mchdpush``/``mchdpop`` with software
-    fallback — including the batch transfers, which is what keeps the
-    cached head/next copies coherent across refills.  ``szlookup`` is
-    replicated as a pure scan (``_sz_scan``) so an inconsistent entry can
-    veto before the stats/LRU mutation.
+class MallaccRefill(TCMallocRefill):
+    """The refill machinery on a Mallacc allocator (mixed into
+    :class:`~repro.alloc.fastpath.MallaccFastPath`): every thread-cache
+    push/pop is an ``mchdpush``/``mchdpop`` with software fallback —
+    including the batch transfers, which is what keeps the cached head/next
+    copies coherent across refills.
     """
 
     __slots__ = ()
-
-    def _begin(self, a) -> None:
-        a.isa.begin_call()
-
-    def _sampling_would_trigger(self, a, size: int) -> bool:
-        pmu = a.pmu
-        return a.config.sampling_enabled and pmu.accumulated + size >= pmu.threshold
-
-    def _emit_sampling(self, p: _Pass, a, size: int) -> None:
-        if a.config.sampling_enabled:
-            a.pmu.accumulated += size
-
-    def _pre_malloc_lookup(self, a, size: int, cl: int):
-        sentry = _sz_scan(a.isa.cache, size)
-        if sentry is not None and (
-            sentry.size_class != cl
-            or sentry.alloc_size != a.table.class_to_size[cl]
-        ):
-            return _VETO
-        return sentry
-
-    def _emit_malloc_lookup(self, p: _Pass, a, size: int, cl: int, pre) -> None:
-        cache = a.isa.cache
-        sz_hit = pre is not None
-        _sz_commit(cache, pre)
-        p.fixed(cache.config.lookup_latency)
-        p.branch("mcsz_hit", not sz_hit)
-        if not sz_hit:
-            table = a.table
-            p.alu()
-            p.alu()
-            p.load_priced(table.class_array_addr + (class_index(size) // 8) * 8)
-            p.load_priced(table.class_to_size_addr + cl * 8)
-            cache.szupdate(size, table.class_to_size[cl], cl)
-            p.fixed(1)
-
-    def _pre_free_lookup(self, a, sized_hint, cl: int):
-        if sized_hint is None:
-            return None
-        sentry = _sz_scan(a.isa.cache, sized_hint)
-        if sentry is not None and sentry.size_class != cl:
-            return _VETO
-        return sentry
-
-    def _emit_free_lookup(self, p: _Pass, a, ptr: int, sized_hint, cl: int, pre) -> None:
-        if sized_hint is None:
-            super()._emit_free_lookup(p, a, ptr, sized_hint, cl, pre)
-            return
-        cache = a.isa.cache
-        sz_hit = pre is not None
-        _sz_commit(cache, pre)
-        p.fixed(cache.config.lookup_latency)
-        p.branch("mcsz_hit", not sz_hit)
-        if not sz_hit:
-            table = a.table
-            p.alu()
-            p.alu()
-            p.load_priced(table.class_array_addr + (class_index(sized_hint) // 8) * 8)
-            p.load_priced(table.class_to_size_addr + cl * 8)
-            cache.szupdate(sized_hint, table.class_to_size[cl], cl)
-            p.fixed(1)
 
     # -- accelerated list operations ----------------------------------------
     def _pop(self, p: _Pass, a, flist, cl: int) -> int:
@@ -1273,7 +1010,7 @@ class MallaccSlowPath(TCMallocSlowPath):
 
 
 # --------------------------------------------------------------------------
-# Shared tail and helpers (fast-path and refill twins alike).
+# Shared tail and helpers.
 
 
 def _finish(a, m, site, tokens, lats, addrs, *, kind, size, cl, path, ptr,
@@ -1343,31 +1080,10 @@ def _sz_commit(cache, entry) -> None:
         cache.stats.sz_misses += 1
 
 
-# --------------------------------------------------------------------------
-# Registry: exact allocator type -> twin factory, mirroring the fast path.
-
-_REGISTRY: dict[type, type] = {}
-
-
-def register_slowpath(alloc_type: type, twin_type: type) -> None:
-    _REGISTRY[alloc_type] = twin_type
-
-
-def slowpath_for(alloc):
-    """The fused refill twin for ``alloc``, or None if its exact type has
-    none."""
-    twin_type = _REGISTRY.get(type(alloc))
-    return None if twin_type is None else twin_type(alloc)
-
-
 from repro.alloc.allocator import (  # noqa: E402  (cycle: allocator imports us lazily)
     CallRecord as _CallRecord,
     Path as _Path,
-    TCMalloc as _TCMalloc,
 )
 
 _PATH_CENTRAL = _Path.CENTRAL
 _PATH_PAGE = _Path.PAGE_ALLOC
-_PATH_FREE_SLOW = _Path.FREE_SLOW
-
-register_slowpath(_TCMalloc, TCMallocSlowPath)

@@ -107,9 +107,6 @@ class ThreadCache:
         """Update the cache's total-size field (size_ -= alloc_size): part of
         the residual metadata work that stays off the critical path."""
         size_field = self.lists[0].header_addr + 16
-        if not em.touches_hierarchy:
-            self.machine.memory.write_word(size_field, max(self.size_bytes, 0))
-            return
         _, uop = em.load_word(size_field, deps=deps, tag=Tag.METADATA)
         upd = em.alu(deps=(uop,), tag=Tag.METADATA)
         em.store_word(size_field, max(self.size_bytes, 0), deps=(upd,), tag=Tag.METADATA)

@@ -66,7 +66,7 @@ class TimedHoard:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        self.machine.record_twins(self)
+        self.machine.record_twin(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 
@@ -195,7 +195,7 @@ class TimedBuddy:
         )
         self.machine = self.inner.machine
         self.config = self.inner.config
-        self.machine.record_twins(self)
+        self.machine.record_twin(self)
         self.records: list[CallRecord] = []
         self.keep_records: bool = True
 

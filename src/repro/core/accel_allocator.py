@@ -41,9 +41,8 @@ from repro.sim.uop import Tag
 class MallaccListOps:
     """Free-list strategy routing every push/pop through the malloc cache."""
 
-    def __init__(self, isa: MallaccISA, owner: "MallaccFastPathMixin") -> None:
+    def __init__(self, isa: MallaccISA) -> None:
         self.isa = isa
-        self.owner = owner
 
     def pop(self, em: Emitter, flist: FreeList, cl: int, addr_dep: tuple[int, ...]) -> PopResult:
         outcome = self.isa.mchdpop(em, cl, deps=addr_dep)
@@ -95,7 +94,7 @@ class MallaccFastPathMixin:
     def _attach_mallacc(self, cache_config: MallocCacheConfig | None = None) -> None:
         self.isa = MallaccISA(cache=MallocCache(cache_config or MallocCacheConfig()))
         self.pmu = SamplingCounter(config=self.config)
-        self.thread_cache.list_ops = MallaccListOps(self.isa, self)
+        self.thread_cache.list_ops = MallaccListOps(self.isa)
 
     @property
     def malloc_cache(self) -> MallocCache:
@@ -291,10 +290,8 @@ class MallaccTCMalloc(MallaccFastPathMixin, TCMalloc):
         self._attach_mallacc(cache_config)
 
 
-# Columnar-engine fused twins for the exact MallaccTCMalloc type (subclasses
+# Columnar-engine fused twin for the exact MallaccTCMalloc type (subclasses
 # overriding emission hooks must register their own — see repro.alloc.fastpath).
 from repro.alloc.fastpath import MallaccFastPath, register_fastpath  # noqa: E402
-from repro.alloc.slowpath import MallaccSlowPath, register_slowpath  # noqa: E402
 
 register_fastpath(MallaccTCMalloc, MallaccFastPath)
-register_slowpath(MallaccTCMalloc, MallaccSlowPath)

@@ -497,10 +497,6 @@ class SampledRunResult:
         return self.estimate("allocator")[0]
 
     @property
-    def allocator_cycles_ci(self) -> tuple[float, float]:
-        return self.estimate("allocator")[1:]
-
-    @property
     def malloc_cycles(self) -> float:
         return self.estimate("malloc")[0]
 

@@ -275,7 +275,7 @@ def _install(p: LayerProfile) -> Patches:
     from repro.alloc.context import Machine
     from repro.alloc.multithread import MultiThreadAllocator
     from repro.alloc.page_heap import PageHeap
-    from repro.alloc.slowpath import TCMallocSlowPath
+    from repro.alloc.slowpath import TCMallocRefill
     from repro.alloc.thread_cache import ThreadCache
     from repro.core.accel_allocator import MallaccFastPathMixin
     from repro.harness import runner
@@ -320,8 +320,9 @@ def _install(p: LayerProfile) -> Patches:
                     frame("alloc"))
     patches.methods([TCMalloc, MallaccFastPathMixin],
                     ("fast_forward_malloc", "fast_forward_free"), frame("ff"))
-    patches.methods([TCMallocSlowPath], ("malloc", "free"), frame("refill", "ff"))
-    patches.methods([ThreadCache], ("_fetch_from_central", "_list_too_long", "_scavenge"),
+    # The twins' refill machinery and the object path's thread cache.
+    patches.methods([TCMallocRefill, ThreadCache],
+                    ("_fetch", "_fetch_from_central", "_list_too_long", "_scavenge"),
                     frame("refill", "ff"))
     patches.methods([PageHeap], ("allocate_span", "free_span"), frame("refill", "ff"))
     patches.methods([TraceInterner], ("intern",), frame("intern"))

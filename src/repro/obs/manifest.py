@@ -105,9 +105,10 @@ class RunManifest:
     Engines are bit-identical on results, so this is provenance — but a
     cross-engine ``repro report --compare`` deserves a flag, not silence."""
     twins: tuple[tuple[str, str], ...] = ()
-    """Fused twins each allocator type of the run got at construction
-    (``fast+slow``, ``fast``, ``slow`` or ``none``): every type short of
-    ``fast+slow`` emits some calls through the slower object path."""
+    """The fused twin each allocator type of the run got at construction
+    (``fast+slow``: it takes refills too; ``fast``: it declines them;
+    ``none``): every type short of ``fast+slow`` emits some calls through
+    the slower object path."""
 
     def to_dict(self) -> dict:
         payload = asdict(self)

@@ -546,10 +546,6 @@ class TrafficComparison:
             return 0.0
         return 100.0 * (base - accel) / base
 
-    @property
-    def p99_improvement(self) -> float:
-        return self.improvement("p99")
-
 
 def compare_traffic(
     config: TrafficConfig, cache_entries: int = 32

@@ -1,12 +1,12 @@
-"""Fused fast-path twins: registry discipline, fallbacks, error parity.
+"""Fused twins: registry discipline, fallbacks, error parity.
 
-The columnar engine replaces the emit-then-schedule fast paths with
-straight-line priced twins (:mod:`repro.alloc.fastpath`).  The twin
-registry keys on the allocator's *exact* type — subclasses that override
-emission hooks (``DebugAllocator``) fall back to the object path, which
-each machine records (``Machine.twins``) and counts
+The columnar engine replaces the emit-then-schedule allocator paths with
+straight-line priced twins (:mod:`repro.alloc.fastpath`), one per allocator
+type.  The twin registry keys on the allocator's *exact* type — subclasses
+that override emission hooks (``DebugAllocator``) fall back to the object
+path, which each machine records (``Machine.twins``) and counts
 (``Machine.object_path_calls``) — and every twin guard bails to ``None``
-before mutating anything, so slow paths, invalid arguments, and forensic
+before mutating anything, so large spans, invalid arguments, and forensic
 wrappers behave exactly as on the reference engine.
 """
 
@@ -63,19 +63,18 @@ class TestRegistry:
 
     def test_thread_view_gets_the_mallacc_twins(self):
         """A multithreaded accelerated view has exactly MallaccTCMalloc's
-        emission hooks, so it is registered for both Mallacc twins."""
+        emission hooks, so it is registered for the Mallacc twin, refills
+        included."""
         from repro.alloc.fastpath import MallaccFastPath
-        from repro.alloc.slowpath import MallaccSlowPath
 
         with _engine(None):
             for view in MultiThreadAllocator(2, accelerated=True).threads:
                 assert type(view).__name__ == "_ThreadView"
                 assert isinstance(view._fastpath, MallaccFastPath)
-                assert isinstance(view._slowpath, MallaccSlowPath)
+                assert view._fastpath.refills
         with _engine("reference"):
             for view in MultiThreadAllocator(2, accelerated=True).threads:
                 assert view._fastpath is None
-                assert view._slowpath is None
 
 
 def _zoo_and_wrappers():
@@ -301,7 +300,7 @@ class TestStructures:
             with _engine(None):
                 alloc = factory()
             if not twins:
-                alloc._fastpath = alloc._slowpath = None
+                alloc._fastpath = None
             run_workload(alloc, workload.ops(seed=7, num_ops=num_ops), name=workload.name)
             return list(seen), alloc.machine
 

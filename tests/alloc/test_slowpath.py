@@ -1,13 +1,14 @@
-"""Fused slow-path refill twins: registry discipline, fallbacks, parity.
+"""Refills on the fused twins: which twins take them, fallbacks, parity.
 
 The columnar engine fuses the refill machinery — central-cache
 remove/insert (with the transfer cache and the lock/contention model),
 page-heap span allocation/free (with the radix pagemap), and span carving
-— into straight-line priced twins (:mod:`repro.alloc.slowpath`).  Like the
-fast-path twins, the registry keys on the allocator's *exact* type, and
-every guard bails to ``None`` before mutating anything: invalid arguments,
-large spans mid-precheck, stale size-class cache entries, and double frees
-all fall through to the reference object path with untouched state.
+— into straight-line code (:mod:`repro.alloc.slowpath`) that the TCMalloc
+and Mallacc twins splice into their walk.  Every guard bails to ``None``
+before mutating anything: invalid arguments, stale size-class cache
+entries, double frees and skip-mode fast shapes all fall through to the
+object path (or, for the last, to the flat fast-forward) with untouched
+state.
 """
 
 import os
@@ -18,6 +19,7 @@ import pytest
 from repro.alloc.allocator import Path, TCMalloc
 from repro.alloc.constants import AllocatorConfig
 from repro.alloc.debug import DebugAllocator
+from repro.alloc.jemalloc import Jemalloc
 from repro.core.accel_allocator import MallaccTCMalloc
 
 
@@ -82,22 +84,31 @@ def _state(alloc):
 
 class TestRegistry:
     def test_exact_type_gets_a_twin(self):
-        from repro.alloc.slowpath import MallaccSlowPath, TCMallocSlowPath
+        """TCMalloc's and Mallacc's one twin carries its allocator's refill
+        machinery and takes refills; jemalloc's declines them."""
+        from repro.alloc.slowpath import MallaccRefill, TCMallocRefill
 
         with _engine(None):
-            assert isinstance(TCMalloc()._slowpath, TCMallocSlowPath)
-            assert isinstance(MallaccTCMalloc()._slowpath, MallaccSlowPath)
+            twin = TCMalloc()._fastpath
+            assert isinstance(twin, TCMallocRefill) and twin.refills
+            assert not isinstance(twin, MallaccRefill)
+            twin = MallaccTCMalloc()._fastpath
+            assert isinstance(twin, MallaccRefill) and twin.refills
+            assert not Jemalloc()._fastpath.refills
 
     def test_subclass_falls_back_to_object_path(self):
         """DebugAllocator overrides malloc/free emission; inheriting a
-        refill twin would skip its canaries.  Exact-type lookup refuses."""
+        twin's refills would skip its canaries.  Exact-type lookup
+        refuses."""
         with _engine(None):
-            assert DebugAllocator()._slowpath is None
+            alloc = DebugAllocator()
+            assert alloc._fastpath is None
+            assert alloc.machine.twins == {"DebugAllocator": "none"}
 
     def test_reference_engine_attaches_no_twin(self):
         with _engine("reference"):
-            assert TCMalloc()._slowpath is None
-            assert MallaccTCMalloc()._slowpath is None
+            assert TCMalloc()._fastpath is None
+            assert MallaccTCMalloc()._fastpath is None
 
 
 class TestParity:
@@ -140,7 +151,7 @@ class TestFallbackBeforeMutation:
     def test_invalid_and_oversized_requests(self):
         with _engine(None):
             alloc = TCMalloc()
-            twin = alloc._slowpath
+            twin = alloc._fastpath
             before = _state(alloc)
             assert twin.malloc(0) is None
             assert twin.malloc(-3) is None
@@ -149,19 +160,23 @@ class TestFallbackBeforeMutation:
             assert _state(alloc) == before
 
     def test_fast_shape_is_not_the_twin_s_domain(self):
-        """A non-empty free list (malloc) or a non-overflowing push (free)
-        belongs to the fast-path twin; the refill twin must decline."""
-        with _engine(None):
-            alloc = TCMalloc()
-            twin = alloc._slowpath
+        """A skip-mode fast shape — a non-empty free list (malloc) or a
+        non-overflowing push (free) — is the flat fast-forward's: the twin
+        declines it before any mutation."""
+        for alloc_type in (TCMalloc, MallaccTCMalloc):
+            with _engine(None):
+                alloc = alloc_type()
+            twin = alloc._fastpath
             alloc.malloc(64)
             # Slow-start: the second fetch takes two objects, so one is
             # still threaded on the list after this pop.
             ptr, _ = alloc.malloc(64)
             assert alloc.thread_cache.lists[alloc.live[ptr][1]].length > 0
+            alloc.machine.warming = "skip"
             before = _state(alloc)
             assert twin.malloc(64) is None
             assert twin.free(ptr, None) is None
+            assert twin.free(ptr, 64) is None
             assert _state(alloc) == before
 
     def test_double_free_bails_untouched(self):
@@ -179,7 +194,7 @@ class TestFallbackBeforeMutation:
             flist = alloc.thread_cache.lists[cl]
             saved_max = flist.max_length
             flist.max_length = 0
-            twin = alloc._slowpath
+            twin = alloc._fastpath
             before = _state(alloc)
             assert ptr in flist._contents
             assert twin.free(ptr, None) is None
@@ -189,10 +204,11 @@ class TestFallbackBeforeMutation:
     def test_stale_size_cache_entry_vetoes(self):
         """A malloc-cache size entry that disagrees with the size-class
         table (stale/corrupt hardware state) must veto the Mallacc twin
-        before it commits any stats or LRU updates."""
+        before it commits any stats or LRU updates (here on a refill
+        shape: the list is still empty)."""
         with _engine(None):
             alloc = MallaccTCMalloc()
-            twin = alloc._slowpath
+            twin = alloc._fastpath
             cache = alloc.isa.cache
             entry = cache.entries[0]
             entry.valid = True
@@ -212,8 +228,9 @@ class TestProfiler:
     @pytest.mark.parametrize("engine", [None, "reference"])
     def test_refill_stage_and_summary(self, engine):
         """The layer profile wraps both the object path's refill entry points
-        and the fused slow twins as the ``refill`` layer, so a refill-heavy
-        replay reports refill calls and self time under either engine."""
+        and the twins' refill machinery as the ``refill`` layer, so a
+        refill-heavy replay reports refill calls and self time under either
+        engine."""
         from repro.harness import runner
         from repro.obs.layers import LayerProfile
         from repro.workloads import MACRO_WORKLOADS

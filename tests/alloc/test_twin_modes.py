@@ -1,18 +1,19 @@
-"""Warm and skip calls on the fused twins: the object path's transitions.
+"""Every mode of the fused twins: the object path's records and transitions.
 
 The sampled replay steps in three modes (``Machine.warming``): detailed,
 warm (every cache, TLB, predictor, memory and malloc-cache transition of a
 detailed call, nothing priced) and skip (no cache or TLB probe either).
-The fast twins serve warm calls and the refill twins serve warm and skip
-calls, so each must leave exactly the state the emitting object path
-leaves under the ``WarmingEmitter`` and the ``FunctionalEmitter``, and end
-the call the same way: a zero-cycle record, no intern or trace-cache
-lookup, no clock advance.
+The twins serve detailed and warm calls of every shape they cover, and
+skip calls of refill shapes, so each must leave exactly the state the
+emitting object path leaves under the ``Emitter``, the ``WarmingEmitter``
+and the ``FunctionalEmitter``, and end the call the same way: a priced
+record, or a zero-cycle one with no intern or trace-cache lookup and no
+clock advance.
 
 The differentials replay one hypothesis-drawn op stream on two allocators
-of one type, one with its twins and one with them detached, every call in
-one mode.  After every call they compare the record and everything a call
-can move; at the end, every cache set in LRU order.  A spy on
+of one type, one with its twin and one with it detached, every call in one
+mode.  After every call they compare the record and everything a call can
+move; at the end, every cache set in LRU order.  A spy on
 ``Machine.new_emitter`` keeps the gain from going quietly: a sampled
 comparison whose every call a twin covers builds no functional emitter.
 
@@ -55,10 +56,10 @@ STREAMS = st.lists(
 
 
 def _pair(factory):
-    """The same allocator twice: with its twins, and with them detached."""
+    """The same allocator twice: with its twin, and with it detached."""
     twinned, detached = factory(), factory()
     assert twinned._fastpath is not None
-    detached._fastpath = detached._slowpath = None
+    detached._fastpath = None
     return twinned, detached
 
 
@@ -101,6 +102,15 @@ def _lru_sets(alloc):
     return [[list(ways) for ways in level._sets] for level in alloc.machine.hierarchy.levels]
 
 
+def _compared(alloc, warming):
+    """:func:`_state`, less the object-path counters in detail mode: there
+    the detached side counts every call of its own."""
+    state = _state(alloc)
+    if warming is None:
+        del state["object_path"]
+    return state
+
+
 def _replay(stream, allocs, warming, served=None):
     """Run ``stream`` on every allocator of ``allocs`` in lockstep, each
     call in ``warming`` mode, comparing them after every call."""
@@ -124,22 +134,28 @@ def _replay(stream, allocs, warming, served=None):
             if not outs:
                 break
             assert outs[0] == outs[1]
-            assert outs[0].cycles == 0 and outs[0].num_uops == 0
+            if warming is not None:
+                assert outs[0].cycles == 0 and outs[0].num_uops == 0
             if served is not None:
                 served.add(outs[0].path.value)
-            assert _state(allocs[0]) == _state(allocs[1])
+            assert _compared(allocs[0], warming) == _compared(allocs[1], warming)
     assert _lru_sets(allocs[0]) == _lru_sets(allocs[1])
 
 
+#: ``Machine.warming``'s values; ``detail`` is None.
+MODES = pytest.mark.parametrize("warming", [None, "warm", "skip"],
+                                ids=lambda w: w or "detail")
+
+
 class TestTwinModes:
-    @pytest.mark.parametrize("warming", ["warm", "skip"])
+    @MODES
     @pytest.mark.parametrize("factory", ALLOCATORS, ids=lambda f: f.__name__)
     @settings(max_examples=12, deadline=None)
     @given(stream=STREAMS)
     def test_twins_match_the_object_path(self, factory, warming, stream):
         _replay(stream, _pair(factory), warming)
 
-    @pytest.mark.parametrize("warming", ["warm", "skip"])
+    @MODES
     @pytest.mark.parametrize("factory", ALLOCATORS, ids=lambda f: f.__name__)
     def test_every_refill_shape(self, factory, warming):
         """A fixed stream that reaches central and page refills, releases,
@@ -156,13 +172,36 @@ class TestTwinModes:
         _replay(stream, allocs, warming, served)
         assert {"fast", "central", "page_alloc", "large",
                 "free_fast", "free_slow", "free_large"} <= served
-        if allocs[0]._slowpath is not None:
+        if allocs[0]._fastpath.refills:
             refill = _refill_state(allocs[0])
             central = [sum(column) for column in zip(*refill["central"])]
             assert refill["tc"][2] > 0, "no scavenge"
             assert central[5] > 0, "no span returned to the page heap"
             assert central[8] > 0 and central[9] > 0, "no transfer park and unpark"
             assert refill["heap"][5] > 0, "no span released to the OS"
+
+    @MODES
+    @pytest.mark.parametrize("factory", [TCMalloc, MallaccTCMalloc], ids=lambda f: f.__name__)
+    def test_release_comes_before_the_budget_check(self, factory, warming):
+        """A free that overflows both its list and the thread-cache budget
+        releases a batch first, and scavenges only if the cache is still
+        over budget — here it is not.  No op stream above reaches this
+        pair, so the bookkeeping is set up by hand, on both sides alike."""
+        allocs = _pair(factory)
+        records = []
+        for alloc in allocs:
+            alloc.machine.warming = warming
+            ptr, _ = alloc.malloc(8192)
+            cl = alloc.live[ptr][1]
+            tc = alloc.thread_cache
+            tc.lists[cl].max_length = tc.lists[cl].length
+            tc.size_bytes = alloc.config.max_thread_cache_size - alloc.table.class_to_size[cl]
+            records.append(alloc.free(ptr))
+        assert records[0] == records[1]
+        assert records[0].path.value == "free_slow"
+        assert _compared(allocs[0], warming) == _compared(allocs[1], warming)
+        releases, scavenges = _refill_state(allocs[0])["tc"][1:3]
+        assert (releases, scavenges) == (1, 0)
 
     def test_warm_prefetch_ready_time_decides_a_later_stall(self):
         """A warm pop's prefetch lands at the call's clock plus the fetch

@@ -4,7 +4,7 @@ The hot-path work — interned trace templates, the O(1) per-set cache model
 with its inlined three-level walk, the batched app-traffic stream, the
 cached-fingerprint trace-cache keys, and the columnar replay engine
 (flat-array scheduling, lazy ring hierarchy, arena-slab memory, fused
-fast-path twins) — all promise *exact* behavioral equivalence: any
+twins) — all promise *exact* behavioral equivalence: any
 (engine) x (intern on/off) x (O(1) vs reference caches) combination must
 reproduce identical per-call cycles, ablations, paths, and aggregate
 accounting on identical op streams.  This suite holds every workload
@@ -327,31 +327,33 @@ def _refill_state(alloc):
 
 
 class _CountingTwin:
-    """Pure-delegation wrapper proving the fused slow-path twin actually
-    served calls (a fallback returns None and doesn't count)."""
+    """Pure-delegation wrapper proving the fused twin actually served
+    refills (a fallback returns None and doesn't count)."""
+
+    REFILLS = frozenset({"central", "page_alloc", "free_slow"})
 
     def __init__(self, twin):
         self._twin = twin
-        self.served = 0
+        self.refills = set()
 
     def malloc(self, size):
         out = self._twin.malloc(size)
-        if out is not None:
-            self.served += 1
+        if out is not None and out[1].path.value in self.REFILLS:
+            self.refills.add(out[1].path.value)
         return out
 
     def free(self, ptr, sized_hint):
         out = self._twin.free(ptr, sized_hint)
-        if out is not None:
-            self.served += 1
+        if out is not None and out.path.value in self.REFILLS:
+            self.refills.add(out.path.value)
         return out
 
 
 class TestRefillTwins:
-    """The fused slow-path refill twins (central-cache remove/insert with
-    the transfer cache and lock model, page-heap span alloc/free with the
-    radix pagemap, span carving) must be byte-invisible across the full
-    grid — including every refill-side stat they shadow."""
+    """The fused twins' refills (central-cache remove/insert with the
+    transfer cache and lock model, page-heap span alloc/free with the radix
+    pagemap, span carving) must be byte-invisible across the full grid —
+    including every refill-side stat they shadow."""
 
     @pytest.mark.parametrize("allocator", [make_baseline, make_mallacc])
     def test_refill_torture_grid(self, allocator):
@@ -360,9 +362,9 @@ class TestRefillTwins:
         for engine, impl, intern in GRID:
             with _engine_env(engine, impl, intern):
                 alloc = allocator()
-                if alloc._slowpath is not None:
-                    alloc._slowpath = _CountingTwin(alloc._slowpath)
-                twins.append(alloc._slowpath)
+                if alloc._fastpath is not None:
+                    alloc._fastpath = _CountingTwin(alloc._fastpath)
+                twins.append(alloc._fastpath)
                 result = run_workload(
                     alloc,
                     REFILL_TORTURE.ops(seed=11, num_ops=1400),
@@ -388,8 +390,9 @@ class TestRefillTwins:
         assert central[5] > 0, "no span returned to the page heap"
         heap = base_refill["heap"]
         assert heap[2] > 0 and heap[3] > 0 and heap[5] > 0, "heap under-exercised"
-        # ... and the columnar cells must have served it from the twin.
-        assert twins[0] is not None and twins[0].served > 0
+        # ... and the columnar cells must have served every refill path
+        # from the twin.
+        assert twins[0] is not None and twins[0].refills == _CountingTwin.REFILLS
         for (engine, _, _), twin in zip(GRID, twins):
             if engine == "reference":
                 assert twin is None
