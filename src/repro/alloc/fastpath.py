@@ -382,8 +382,10 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
     inline (same scan order) so its entry can be sanity-checked *before* the
     stats/LRU mutation — an inconsistent entry falls back to the reference
     path, which raises at its usual point.  A refill records into the call's
-    own latency and address lists, so list-op positions and prefetch issue
-    estimates count the whole call.
+    own latency and address lists, so prefetch issue estimates count the
+    whole call.  The ordering register that serializes the list
+    instructions is a dependence edge of the compiled structure, so the
+    twin never sets ``MallaccISA._order_uop``.
     """
 
     __slots__ = ()
@@ -408,8 +410,7 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
         refill = flist.length == 0
         if not refill and warming == "skip":
             return None  # the flat fast_forward_malloc's
-        isa = a.isa
-        cache = isa.cache
+        cache = a.isa.cache
         alloc_size = table.class_to_size[cl]
         sentry = _sz_scan(cache, size)
         if sentry is not None and (
@@ -429,8 +430,6 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
         mem_read = memory.read_word
         mem_write = memory.write_word
         predict = m.predictor.predict
-        if refill:
-            isa.begin_call()
 
         if sampling:
             pmu.accumulated += size
@@ -461,7 +460,6 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
             refill_toks = p.toks
 
         pentry, head, next_ptr, stall = cache.hdpop(cl, clock0)
-        pop_uop = len(lats)
         lats.append(cache.config.list_op_latency + stall)
         hd_hit = pentry is not None
         lats.append(1 + predict("mchd_hit", not hd_hit))
@@ -506,7 +504,6 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
         if do_prefetch:
             head_next = mem_read(new_head)
             prefetch_uop = len(lats)
-            isa._order_uop = prefetch_uop
             if refill:
                 ready = p.prefetch(new_head)
             else:
@@ -519,8 +516,6 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
                 lats.append(1)
                 addrs.append(new_head)
             cache.nxtprefetch(cl, new_head, head_next, ready)
-        else:
-            isa._order_uop = pop_uop
 
         length_addr = header + 8
         lats.append(h_read(length_addr) + tlb(length_addr))
@@ -576,8 +571,7 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
             return None
         config = a.config
         table = a.table
-        isa = a.isa
-        cache = isa.cache
+        cache = a.isa.cache
         sized = sized_hint is not None
         sentry = None
         if sized:
@@ -611,8 +605,6 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
         mem_read = memory.read_word
         mem_write = memory.write_word
         predict = m.predictor.predict
-        if refill:
-            isa.begin_call()
 
         del a.live[ptr]
         lats = [1, 1, 1, 1, 1, 1]
@@ -641,9 +633,7 @@ class MallaccFastPath(MallaccRefill, TCMallocFastPath):
         lats.append(1)  # list-address lea
 
         push_hit, old_head, stall = cache.hdpush(cl, ptr, clock0)
-        push_uop = len(lats)
         lats.append(cache.config.list_op_latency + stall)
-        isa._order_uop = push_uop
         header = flist.header_addr
         if push_hit:
             real_head = mem_read(header)

@@ -382,10 +382,9 @@ class _Pass:
 
     Dependence edges exist only in the compiled structure (latencies do not
     depend on them), so the hot pass never threads uop indices — the only
-    positions that matter at runtime are the Mallacc list-op uops
-    (``len(lats)`` before the append) for the ordering register and the
-    prefetch issue-slot estimate, which is why the Mallacc twin hands the
-    pass its own latency and address lists.
+    position that matters at runtime is the Mallacc prefetch's uop
+    (``len(lats)`` before the append) for its issue-slot estimate, which is
+    why the Mallacc twin hands the pass its own latency and address lists.
     """
 
     __slots__ = (
@@ -933,12 +932,9 @@ class MallaccRefill(TCMallocRefill):
 
     # -- accelerated list operations ----------------------------------------
     def _pop(self, p: _Pass, a, flist, cl: int) -> int:
-        isa = a.isa
-        cache = isa.cache
+        cache = a.isa.cache
         pentry, head, next_ptr, stall = cache.hdpop(cl, p.clock)
-        pop_uop = len(p.lats)
         p.fixed(cache.config.list_op_latency + stall)
-        isa._order_uop = pop_uop
         hit = pentry is not None
         p.branch("mchd_hit", not hit)
         header = flist.header_addr
@@ -974,17 +970,13 @@ class MallaccRefill(TCMallocRefill):
         p.note(("nxtprefetch", do_prefetch))
         if do_prefetch:
             head_next = p.mem_read(new_head)
-            isa._order_uop = len(p.lats)
             cache.nxtprefetch(cl, new_head, head_next, p.prefetch(new_head))
         return head
 
     def _push(self, p: _Pass, a, flist, cl: int, ptr: int) -> None:
-        isa = a.isa
-        cache = isa.cache
+        cache = a.isa.cache
         hit, old_head, stall = cache.hdpush(cl, ptr, p.clock)
-        push_uop = len(p.lats)
         p.fixed(cache.config.list_op_latency + stall)
-        isa._order_uop = push_uop
         p.note(("mchdpush_hit", hit))
         if ptr in flist._contents:
             raise ValueError(f"double free of {ptr:#x}")

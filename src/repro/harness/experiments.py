@@ -474,7 +474,14 @@ def compare_workload_sampled(
     instead of generating one from ``(seed, num_ops)``; it must equal
     ``list(workload.ops(seed=seed, num_ops=num_ops))`` for the result to be
     meaningful.
+
+    Each round replays the Mallacc side in a forked child beside the
+    baseline when it can (:func:`~repro.harness.parallel.fork_join`); the
+    child replays the same code on its own fresh machine, so the result is
+    the same either way.
     """
+    from repro.harness.parallel import fork_join
+
     _comparable(allocator)
     ops = list(workload.ops(seed=seed, num_ops=num_ops)) if ops is None else list(ops)
     cfg = sampling or SamplingConfig()
@@ -504,22 +511,23 @@ def compare_workload_sampled(
     while True:
         rounds += 1
         plan, features = plan_for_ops(baseline_factory, ops, run_cfg, features=features)
-        baseline = run_workload_sampled(
-            baseline_factory,
-            ops,
-            config=run_cfg,
-            name=workload.name,
-            model_app_traffic=model_app_traffic,
-            plan=plan,
-        )
-        footprint, page_ops = _page_heap_counters(baseline_instances[-1])
-        mallacc = run_workload_sampled(
-            mallacc_factory,
-            ops,
-            config=run_cfg,
-            name=workload.name,
-            model_app_traffic=model_app_traffic,
-            plan=plan,
+
+        def replay(factory):
+            return run_workload_sampled(
+                factory,
+                ops,
+                config=run_cfg,
+                name=workload.name,
+                model_app_traffic=model_app_traffic,
+                plan=plan,
+            )
+
+        def baseline_side():
+            result = replay(baseline_factory)
+            return result, _page_heap_counters(baseline_instances[-1])
+
+        (baseline, (footprint, page_ops)), mallacc = fork_join(
+            baseline_side, lambda: replay(mallacc_factory)
         )
         _enrich_manifests(
             (baseline, mallacc), seed=seed, cache_entries=cache_entries,

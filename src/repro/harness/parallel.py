@@ -62,22 +62,34 @@ wall-time-free) figure/table payload.  Wired through
 ``repro.harness.sweeps`` (``jobs=``), the CLI (``python -m repro matrix
 --jobs N --batch-size K --resume --checkpoint-dir D``) and
 ``benchmarks/bench_parallel_harness.py``.
+
+The pool is one of the two kinds of process the harness starts.  The
+other is :func:`fork_join`'s child: a sampled comparison
+(:func:`~repro.harness.experiments.compare_workload_sampled`) replays its
+Mallacc side in a forked child while the caller replays the baseline,
+when the process has a second CPU and is neither a pool worker nor inside
+a ``repro.obs`` scope; otherwise the two sides run in turn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
+import pickle
+import signal
 import tempfile
+import threading
 import time
+import traceback
 import zlib
 from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from repro.core.malloc_cache import MallocCacheConfig
 from repro.harness.experiments import (
@@ -91,6 +103,9 @@ from repro.obs.bridges import matrix_registry, run_registry
 from repro.obs.manifest import collect_manifest
 from repro.sim import trace_cache
 from repro.sim.sampling import SamplingConfig
+
+A = TypeVar("A")
+B = TypeVar("B")
 
 CHECKPOINT_VERSION = 2
 """Bumped to 2 when cells grew ``metrics``/``manifest`` payloads — version-1
@@ -865,3 +880,102 @@ def matrix_figure_data(result: MatrixResult) -> dict:
 def matrix_to_json(result: MatrixResult) -> str:
     """Deterministic JSON serialization of :func:`matrix_figure_data`."""
     return json.dumps(matrix_figure_data(result), sort_keys=True, indent=2)
+
+
+# ---------------------------------------------------------------------------
+# Two independent replays at once
+# ---------------------------------------------------------------------------
+class ForkedTraceback(Exception):
+    """The traceback text of an exception raised in :func:`fork_join`'s
+    child, attached to the re-raised exception as its ``__cause__``."""
+
+
+def _can_fork_beside() -> bool:
+    """Whether :func:`fork_join` overlaps its two sides: the process can
+    fork safely (a POSIX ``os.fork`` and no second thread; macOS, whose
+    fork is not safe, has no ``os.sched_getaffinity``), has a second CPU,
+    is not itself a pool worker (the matrix, sweep and tuning workers
+    already use every CPU they were given), and has no ``repro.obs`` scope
+    open (its wrappers count in this process only)."""
+    from repro.obs.layers import Patches
+
+    return (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+        and multiprocessing.parent_process() is None
+        and not Patches.applied
+    )
+
+
+def fork_join(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
+    """``(first(), second())``, with ``second`` run in a forked child
+    beside ``first`` when :func:`_can_fork_beside` allows it, else after
+    ``first`` in this process.
+
+    The child runs on a copy of this process, so ``second`` must leave
+    nothing behind that the caller reads except its return value, which
+    comes back pickled through a pipe.  An exception in the child is
+    re-raised here with the same type and message (an unpicklable one as a
+    ``RuntimeError`` carrying its repr) and the child's traceback as its
+    ``__cause__``.  The child leaves only through ``os._exit`` and is
+    always reaped; an exception or interrupt in ``first`` kills it."""
+    if not _can_fork_beside():
+        return first(), second()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        _forked_child(second, read_end, write_end)
+    os.close(write_end)
+    try:
+        with os.fdopen(read_end, "rb") as pipe:
+            a = first()
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        raise
+    _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(
+            f"fork_join's child exited with code {os.waitstatus_to_exitcode(status)} "
+            "before sending a result"
+        )
+    ok, value, tb = pickle.loads(payload)
+    if ok:
+        return a, value
+    raise value from ForkedTraceback(tb)
+
+
+def _forked_child(fn: Callable[[], object], read_end: int, write_end: int) -> NoReturn:
+    """The child's whole life: run ``fn``, send ``(ok, value, traceback)``
+    pickled to the parent, and leave through ``os._exit`` (never through
+    the caller's frames, ``atexit`` handlers or buffered output)."""
+    code = 1
+    try:
+        os.close(read_end)
+        try:
+            payload = pickle.dumps((True, fn(), None), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            payload = _pickled_error(exc)
+        with os.fdopen(write_end, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _pickled_error(exc: BaseException) -> bytes:
+    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        payload = pickle.dumps((False, exc, tb), pickle.HIGHEST_PROTOCOL)
+        pickle.loads(payload)  # some exceptions pickle but cannot be rebuilt
+        return payload
+    except Exception:
+        error = RuntimeError(f"{exc!r} (unpicklable, raised in fork_join's child)")
+        return pickle.dumps((False, error, tb), pickle.HIGHEST_PROTOCOL)

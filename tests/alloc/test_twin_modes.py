@@ -29,6 +29,7 @@ from repro.alloc.constants import AllocatorConfig
 from repro.alloc.context import Machine
 from repro.alloc.jemalloc import Jemalloc
 from repro.core.accel_allocator import MallaccTCMalloc
+from repro.harness import parallel
 from repro.harness.experiments import compare_workload_sampled
 from repro.sim.engine import is_columnar
 from repro.sim.sampling import SamplingConfig
@@ -253,6 +254,8 @@ class TestNoFunctionalEmitters:
             return emitter
 
         monkeypatch.setattr(Machine, "new_emitter", spy)
+        # The spy counts in this process: keep the Mallacc side here too.
+        monkeypatch.setattr(parallel, "_can_fork_beside", lambda: False)
         comparison = compare_workload_sampled(
             workload, seed=1, ops=ops,
             sampling=SamplingConfig(interval_ops=100, stride=4, warmup_ops=50),

@@ -374,6 +374,8 @@ class TestCacheSizeFamilies:
         # compare against one cell alone rather than pin a count.
         run_matrix(cells[:1], jobs=1)
         alone = len(calls)
+        # The baseline side stays in the caller, where the spy counts.
+        assert alone >= 1
         calls.clear()
         run_matrix(cells, jobs=1)
         assert len(calls) == 2 * alone

@@ -60,6 +60,22 @@ class TestCli:
         out = run_cli(capsys, "trace-run", str(trace), "--entries", "16")
         assert "malloc speedup" in out
 
+    def test_sampled_trace_spans_both_sides(self, capsys, tmp_path):
+        """The tracer counts in its own process only, so a traced sampled
+        comparison keeps its Mallacc side there too: one replay span per
+        side."""
+        import json
+
+        path = tmp_path / "trace.json"
+        out = run_cli(capsys, "trace", "tp_small", "--ops", "800", "--sample",
+                      "--interval-ops", "100", "--stride", "4",
+                      "--export-perfetto", str(path))
+        assert "wrote" in out
+        events = json.loads(path.read_text())["traceEvents"]
+        opens = [e for e in events if e["ph"] == "B" and e["name"] == "run_workload_sampled"]
+        assert len(opens) == 2
+        assert all(e["args"]["workload"] == "tp_small" for e in opens)
+
     def test_profile(self, capsys):
         out = run_cli(capsys, "profile", "tp_small", "--ops", "400")
         assert "hier.probe" in out and "schedule" in out
