@@ -11,7 +11,10 @@ Two things are measured and asserted:
 
 * **speed** — wall-clock ratio exact/sampled over the whole set.  Passes
   are interleaved best-of-N in one process so frequency scaling and OS
-  jitter hit both sides alike.
+  jitter hit both sides alike.  The sampled pass replays its two sides in
+  turn, as the exact pass does: the ratio prices the functional
+  fast-forward, not the second CPU a sampled comparison may also use
+  (``repro.harness.parallel.fork_join``).
 * **fidelity** — at full protocol scale the sampled 95% CI for program
   speedup must cover the exact value on *every* workload; the detailed
   subset must stay under 20% of the measured stream.
@@ -34,11 +37,13 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness.experiments import compare_workload, compare_workload_sampled
 from repro.sim.sampling import SamplingConfig
 from repro.workloads import MACRO_WORKLOADS
@@ -111,7 +116,7 @@ def _time_workload(name: str, sampling: SamplingConfig):
             t0 = time.perf_counter()
             exact = compare_workload(wl, num_ops=OPS, seed=SEED)
             best_exact = min(best_exact, time.perf_counter() - t0)
-        with _gc_paused():
+        with _gc_paused(), mock.patch.object(parallel, "_can_fork_beside", lambda: False):
             t0 = time.perf_counter()
             sampled = compare_workload_sampled(
                 wl, num_ops=OPS, seed=SEED, sampling=sampling

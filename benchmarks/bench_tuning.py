@@ -10,7 +10,10 @@ comparison it stands in for.  This benchmark prices that claim end to end:
 * replay the *same* evaluated knob vectors through exact
   ``compare_workload`` and time that sweep;
 * ``speedup`` = exact-sweep seconds / sampled-search seconds, best-of-N
-  interleaved in one process.
+  interleaved in one process.  Each sampled evaluation replays its two
+  sides in turn, as the exact sweep does: the ratio prices the sampled
+  fitness, not the second CPU a sampled comparison may also use
+  (``repro.harness.parallel.fork_join``).
 
 Byte determinism is asserted on every run (the repeated searches must
 produce identical ``tuning_to_json`` output), as is front sanity: a
@@ -32,11 +35,13 @@ import sys
 import time
 from contextlib import contextmanager
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import pytest
 
+from repro.harness import parallel
 from repro.harness.experiments import compare_workload
 from repro.harness.tuning import tune, tuning_to_json
 from repro.workloads import MACRO_WORKLOADS
@@ -80,16 +85,17 @@ def _gc_paused():
 
 
 def _run_tune():
-    return tune(
-        WORKLOAD,
-        allocators=("tcmalloc", "jemalloc"),
-        num_ops=OPS,
-        seed=SEED,
-        random_points=3,
-        descent_rounds=1,
-        interval_ops=100,
-        stride=8,
-    )
+    with mock.patch.object(parallel, "_can_fork_beside", lambda: False):
+        return tune(
+            WORKLOAD,
+            allocators=("tcmalloc", "jemalloc"),
+            num_ops=OPS,
+            seed=SEED,
+            random_points=3,
+            descent_rounds=1,
+            interval_ops=100,
+            stride=8,
+        )
 
 
 def _exact_sweep(cells) -> None:

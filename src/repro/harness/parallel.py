@@ -64,11 +64,9 @@ wall-time-free) figure/table payload.  Wired through
 ``benchmarks/bench_parallel_harness.py``.
 
 The pool is one of the two kinds of process the harness starts.  The
-other is :func:`fork_join`'s child: a sampled comparison
-(:func:`~repro.harness.experiments.compare_workload_sampled`) replays its
-Mallacc side in a forked child while the caller replays the baseline,
-when the process has a second CPU and is neither a pool worker nor inside
-a ``repro.obs`` scope; otherwise the two sides run in turn.
+other is :func:`fork_join`'s child, which replays the Mallacc side of a
+sampled comparison beside the caller's baseline (:func:`_can_fork_beside`
+says when).
 """
 
 from __future__ import annotations
@@ -92,6 +90,7 @@ from pathlib import Path
 from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from repro.core.malloc_cache import MallocCacheConfig
+from repro.harness import experiments, runner
 from repro.harness.experiments import (
     CacheSizeFamily,
     compare_workload_sampled,
@@ -891,20 +890,27 @@ class ForkedTraceback(Exception):
 
 
 def _can_fork_beside() -> bool:
-    """Whether :func:`fork_join` overlaps its two sides: the process can
-    fork safely (a POSIX ``os.fork`` and no second thread; macOS, whose
-    fork is not safe, has no ``os.sched_getaffinity``), has a second CPU,
-    is not itself a pool worker (the matrix, sweep and tuning workers
-    already use every CPU they were given), and has no ``repro.obs`` scope
-    open (its wrappers count in this process only)."""
-    from repro.obs.layers import Patches
+    """Whether :func:`fork_join` overlaps its two sides.  It does unless
+    the process
 
+    - cannot fork safely: it has a second thread, or no
+      ``os.sched_getaffinity`` (Windows has no fork; macOS's is unsafe);
+    - has one CPU in ``os.sched_getaffinity(0)``;
+    - is a pool worker: the matrix, sweep and tuning workers already use
+      every CPU they were given;
+    - has the replay entry point wrapped: ``LayerProfile``, ``tracing()``
+      and ``benchmarks/e2e/layertrace.py`` rebind ``run_workload_sampled``
+      in every module and count in this process only, so their spans and
+      counters must see both sides (as must a test's spy on it).
+
+    When any holds, the two sides run in turn in the caller.
+    docs/sampling.md keeps the user-facing copy of this list."""
     return (
         hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1
         and threading.active_count() == 1
         and multiprocessing.parent_process() is None
-        and not Patches.applied
+        and experiments.run_workload_sampled.__module__ == runner.__name__
     )
 
 

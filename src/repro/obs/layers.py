@@ -45,18 +45,11 @@ walk) passes straight through afterwards."""
 class Patches:
     """Attribute replacements, undone in reverse order by :meth:`restore`."""
 
-    applied = 0
-    """Patch sets in place in this process: nonzero while a
-    ``LayerProfile`` or ``tracing()`` scope is open, whose wrappers count
-    only in this process (so a sampled comparison keeps both sides here)."""
-
     def __init__(self) -> None:
         self._undo: list[tuple[object, str, object]] = []
 
     def set(self, owner, attr: str, value) -> None:
         self._undo.append((owner, attr, owner.__dict__[attr]))
-        if len(self._undo) == 1:
-            Patches.applied += 1
         setattr(owner, attr, value)
 
     def methods(self, classes, names, make) -> None:
@@ -80,8 +73,6 @@ class Patches:
                     self.set(module, attr, by_id[id(value)])
 
     def restore(self) -> None:
-        if self._undo:
-            Patches.applied -= 1
         while self._undo:
             owner, attr, original = self._undo.pop()
             setattr(owner, attr, original)

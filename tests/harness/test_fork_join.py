@@ -213,6 +213,24 @@ class TestStaysSerial:
         assert prof.calls("runner") == 2
         assert prof.counters["trace_cache_misses"] > 0
 
+    def test_with_the_replay_entry_point_wrapped(self, monkeypatch, no_fork):
+        # A wrapper bound by name, as benchmarks/e2e/layertrace.py binds its
+        # own, counts in this process only: it must see both sides.
+        replay = experiments.run_workload_sampled
+        twins = []
+
+        def spy(factory, *args, **kwargs):
+            result = replay(factory, *args, **kwargs)
+            twins.append(result.manifest.twins)
+            return result
+
+        monkeypatch.setattr(experiments, "run_workload_sampled", spy)
+        compare_workload_sampled(
+            MICROBENCHMARKS["tp_small"], num_ops=600, seed=1,
+            sampling=SamplingConfig(interval_ops=100, stride=4),
+        )
+        assert len(twins) == 2 and twins[0] != twins[1]  # baseline, then Mallacc
+
     def test_inside_tracing(self, no_fork):
         with tracing() as tracer:
             compare_workload_sampled(
