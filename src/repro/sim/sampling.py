@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 #: Per-op execution modes of a sampled replay.
 MODE_SKIP = 0
@@ -189,17 +189,15 @@ def plan_systematic(num_intervals: int, stride: int, offset: int = 0) -> SampleP
 # ---------------------------------------------------------------------------
 # Phase-aware (SimPoint-style) planning
 # ---------------------------------------------------------------------------
+@dataclass(slots=True)
 class IntervalFeatures:
     """Per-interval behaviour histogram: size-class and execution-path
     counts, accumulated record-by-record during any replay mode (functional
-    records carry path/class even at zero cycles)."""
+    records carry path/class even at zero cycles).  Equal by value."""
 
-    __slots__ = ("size_classes", "paths", "ops")
-
-    def __init__(self) -> None:
-        self.size_classes: dict[int, int] = {}
-        self.paths: dict[str, int] = {}
-        self.ops = 0
+    size_classes: dict[int, int] = field(default_factory=dict)
+    paths: dict[str, int] = field(default_factory=dict)
+    ops: int = 0
 
     def add(self, size_class: int, path: str) -> None:
         self.ops += 1

@@ -1,9 +1,10 @@
 """Interned trace templates: memoizing the *emission* side of the simulator.
 
-PR 1's :class:`~repro.sim.trace_cache.TraceCache` made scheduling nearly
-free, but every allocator call still paid full price to construct the trace
-it then skipped scheduling: ~40 :class:`~repro.sim.uop.Uop` dataclass
-constructions, a :class:`~repro.sim.uop.Trace`, and a fingerprint tuple.
+The :class:`~repro.sim.trace_cache.TraceCache` makes scheduling nearly
+free, but without interning every allocator call would still pay full price
+to construct the trace it then skips scheduling: ~40
+:class:`~repro.sim.uop.Uop` dataclass constructions, a
+:class:`~repro.sim.uop.Trace`, and its key.
 The paper's own thesis — malloc fast paths are a handful of highly
 repetitive instruction shapes — applies to emission just as much as to
 scheduling: for a loop-free fast path, the trace's *structure* (uop kinds,
@@ -20,20 +21,24 @@ against live cache/TLB/predictor state) vary between calls.
   .TraceBuilder.note`-d structural decision along the way — with the site,
   the *template*, which pins the trace's structure;
 * the **latencies** have exactly one entry per uop, so their length alone
-  pins the uop count; with the template they determine the full canonical
-  fingerprint.
+  pins the uop count; with the template they determine the trace's key,
+  ``(shape id, latencies)`` (:meth:`~repro.sim.uop.Trace.fingerprint`).
 
 An intern hit therefore returns the *same shared* :class:`Trace` object —
-fingerprint precomputed — in one dict lookup, without materializing a
-single ``Uop``.  Downstream, :meth:`~repro.sim.timing.TimingModel.run` sees
-the identical fingerprint sequence it would have seen without interning, so
-trace-cache statistics and every scheduling result are byte-identical
-(enforced by ``tests/integration/test_hot_path_differential.py``).
+key precomputed, its hash cached in a
+:class:`~repro.sim.uop.FingerprintKey` — in one dict lookup, without
+materializing a single ``Uop``.  A variant holds its latency tuple (shared
+with its intern key), its addresses and a reference to its interned shape,
+never a per-uop key tuple.  Downstream,
+:meth:`~repro.sim.timing.TimingModel.run` sees the identical key sequence it
+would have seen without interning, so trace-cache statistics and every
+scheduling result are byte-identical (enforced by
+``tests/integration/test_hot_path_differential.py``).
 
 Two sharp edges, both deliberate:
 
 * **Shared traces carry representative addresses.**  ``Uop.addr`` is
-  excluded from the fingerprint (it priced the load at emission time and
+  excluded from the key (it priced the load at emission time and
   does not influence scheduling), so an interned trace holds the addresses
   of whichever call first materialized the variant.  Nothing in the timing
   model reads them; the differential suite would catch a regression that
@@ -50,8 +55,8 @@ Two sharp edges, both deliberate:
 
 ``REPRO_TRACE_INTERN=0`` disables interning process-wide (for differential
 runs); ``REPRO_INTERN_VALIDATE=1`` rebuilds every hit from scratch and
-asserts fingerprint equality — the tripwire for an emission site that
-forgot to ``note()`` a structural decision.
+asserts key equality — the tripwire for an emission site that forgot to
+``note()`` a structural decision.
 """
 
 from __future__ import annotations
@@ -137,8 +142,8 @@ class TraceInterner:
         self.stats.misses += 1
         trace = materialize()
         # Shared traces are trace-cache keys on every subsequent hit; cache
-        # the fingerprint hash once so lookups stop re-hashing the tuple.
-        trace._fp_key = FingerprintKey(trace._fingerprint)
+        # the key's hash once so lookups stop re-hashing the latencies.
+        trace._fp_key = FingerprintKey(trace.fingerprint())
         if len(trace) != len(latencies):
             raise AssertionError(
                 f"intern site {site!r}: latency tuple has {len(latencies)} "
@@ -151,8 +156,8 @@ class TraceInterner:
         return trace
 
     def _check(self, cached: Trace, materialize: Callable[[], Trace], site: str) -> None:
-        """Validate mode: the freshly built trace must fingerprint-match the
-        shared one, or an emission site failed to token a structural
+        """Validate mode: the freshly built trace's key must match the
+        shared one's, or an emission site failed to token a structural
         decision."""
         self.stats.validations += 1
         fresh = materialize()

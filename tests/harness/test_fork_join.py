@@ -64,10 +64,9 @@ def no_fork(monkeypatch):
 
 
 def _side(result) -> dict:
-    """Everything a sampled replay produced, features by value and the
-    manifest without its wall-clock fields."""
+    """Everything a sampled replay produced, the manifest without its
+    wall-clock fields."""
     state = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
-    state["features"] = [(f.size_classes, f.paths, f.ops) for f in result.features]
     state["manifest"] = dataclasses.replace(result.manifest, started_at=0.0, wall_seconds=0.0)
     state["estimates"] = {key: result.estimate(key) for key in sorted(
         {k for values in result.interval_values.values() for k in values})}
@@ -114,6 +113,8 @@ class TestOverlapMatchesSerial:
         if case == "escalating":
             assert serial.rounds == 3
         assert _everything(overlapped) == _everything(serial)
+        assert overlapped.baseline == serial.baseline
+        assert overlapped.mallacc == serial.mallacc
         assert _no_children()
 
     @pytest.mark.skipif(
