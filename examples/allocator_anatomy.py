@@ -13,23 +13,23 @@ from repro import MallaccTCMalloc, TCMalloc
 
 
 def capture_trace(allocator, size):
-    """Run one malloc while spying on the timing model; returns the trace
-    and its schedule."""
+    """Run one malloc while spying on the timing model; returns the trace,
+    its per-uop schedule and the call's record."""
     captured = {}
-    original = allocator.machine.timing.run
+    timing = allocator.machine.timing
+    original = timing.run
 
     def spy(trace):
-        result = original(trace)
         captured.setdefault("trace", trace)
-        captured.setdefault("result", result)
-        return result
+        return original(trace)
 
-    allocator.machine.timing.run = spy
+    timing.run = spy
     try:
         _, record = allocator.malloc(size)
     finally:
-        allocator.machine.timing.run = original
-    return captured["trace"], captured["result"], record
+        timing.run = original
+    trace = captured["trace"]
+    return trace, timing.uop_times(trace), record
 
 
 def print_trace(title, trace, result, record):

@@ -13,6 +13,7 @@ costs 18-20 cycles when everything hits in L1.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.alloc.central_cache import CentralFreeList
@@ -69,9 +70,57 @@ class SharedPools:
     central_lists: list[CentralFreeList]
 
 
-@dataclass
+class _SharedAblated(dict):
+    """A read-only ``{name: cycles}`` map that :func:`shared_ablated` hands
+    to every record with equal items.  It compares equal to a plain dict
+    with the same items; writing to it raises, because every record
+    holding it would see the write; unpickling interns it again."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(
+            "a record's ablated map is shared by every record with equal "
+            "cycles; assign a new mapping instead of writing to it"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return shared_ablated, (dict(self),)
+
+
+#: Every distinct ablated map of the process, keyed by its items.  Its size
+#: is bounded by the distinct cycle counts the ablations produce.
+_ABLATED: dict[frozenset, _SharedAblated] = {}
+
+
+def shared_ablated(cycles: Mapping[str, int]) -> Mapping[str, int]:
+    """The process's one read-only map equal to ``cycles``."""
+    key = frozenset(cycles.items())
+    shared = _ABLATED.get(key)
+    if shared is None:
+        shared = _ABLATED[key] = _SharedAblated(cycles)
+    return shared
+
+
+#: The ablated map of every record whose call ran no ablation.
+NO_ABLATIONS = shared_ablated({})
+
+
+@dataclass(slots=True)
 class CallRecord:
-    """Outcome of one allocator call."""
+    """Outcome of one allocator call.
+
+    A replay keeps one record per call, so records have slots, not a
+    ``__dict__``, and their ``ablated`` maps are shared by value: every
+    record whose ``{name: cycles}`` is equal, the empty map included, holds
+    the one read-only map :func:`shared_ablated` returns.  Writing to it
+    raises ``TypeError``; give a record a new mapping instead
+    (``dataclasses.replace(record, ablated={...})``).  It compares equal to
+    a plain dict with the same items, and pickles (sampled records cross
+    ``fork_join``'s pipe) back to the receiving process's shared map."""
 
     kind: str  # "malloc" or "free"
     size: int
@@ -83,8 +132,9 @@ class CallRecord:
     clock: int
     """Machine clock when the call began."""
     sampled: bool = False
-    ablated: dict[str, int] = field(default_factory=dict)
-    """Cycle counts of this call with named uop-tag sets removed."""
+    ablated: Mapping[str, int] = field(default_factory=lambda: NO_ABLATIONS)
+    """Cycle counts of this call with named uop-tag sets removed (shared and
+    read-only, see above)."""
 
     @property
     def is_malloc(self) -> bool:
@@ -499,9 +549,12 @@ class TCMalloc:
         site = _INTERN_SITES.get((kind, path))
         trace = em.build(intern_site=site)
         result = self.machine.timing.run(trace)
-        ablated: dict[str, int] = {}
-        for name, tags in self.ablations.items():
-            ablated[name] = self.machine.timing.run_ablated(trace, tags).cycles
+        ablated = NO_ABLATIONS
+        if self.ablations:
+            run_ablated = self.machine.timing.run_ablated
+            ablated = shared_ablated(
+                {name: run_ablated(trace, tags).cycles for name, tags in self.ablations.items()}
+            )
         record = CallRecord(
             kind=kind,
             size=size,
@@ -546,6 +599,7 @@ class TCMalloc:
             ptr=ptr,
             clock=clock0,
             sampled=sampled,
+            ablated=NO_ABLATIONS,
         )
         if self.keep_records:
             self.records.append(record)

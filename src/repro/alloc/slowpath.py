@@ -1006,12 +1006,12 @@ def _finish(a, m, site, tokens, lats, addrs, *, kind, size, cl, path, ptr,
     result = timing.run(trace)
     ablations = a.ablations
     if ablations:
-        ablated = {
+        ablated = _shared_ablated({
             name: timing.run_ablated(trace, tags).cycles
             for name, tags in ablations.items()
-        }
+        })
     else:
-        ablated = {}
+        ablated = _NO_ABLATIONS
     record = _CallRecord(
         kind=kind,
         size=size,
@@ -1059,8 +1059,10 @@ def _sz_commit(cache, entry) -> None:
 
 
 from repro.alloc.allocator import (  # noqa: E402  (cycle: allocator imports us lazily)
+    NO_ABLATIONS as _NO_ABLATIONS,
     CallRecord as _CallRecord,
     Path as _Path,
+    shared_ablated as _shared_ablated,
 )
 
 _PATH_CENTRAL = _Path.CENTRAL

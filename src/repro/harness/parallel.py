@@ -83,11 +83,10 @@ import time
 import traceback
 import zlib
 from collections import Counter
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterator, NoReturn, Sequence, TypeVar
+from typing import TYPE_CHECKING, Callable, Iterator, NoReturn, Sequence, TypeVar
 
 from repro.core.malloc_cache import MallocCacheConfig
 from repro.harness import experiments, runner
@@ -102,6 +101,9 @@ from repro.obs.bridges import matrix_registry, run_registry
 from repro.obs.manifest import collect_manifest
 from repro.sim import trace_cache
 from repro.sim.sampling import SamplingConfig
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 A = TypeVar("A")
 B = TypeVar("B")
@@ -650,6 +652,10 @@ def _attempt_round(
 
     if pool is None:  # pragma: no cover - caller contract
         raise ValueError("jobs > 1 requires a pool")
+    # Imported where a pool runs, so that ``import repro`` skips the
+    # process-pool machinery.
+    from concurrent.futures import BrokenExecutor, as_completed
+
     batches = plan_batches(pending, jobs, batch_size)
     out.batches = len(batches)
     futures = {}
@@ -791,6 +797,8 @@ def run_matrix(
                 stats.cells_retried += len(pending)
                 time.sleep(delay)
             if jobs > 1 and pool is None:
+                from concurrent.futures import ProcessPoolExecutor
+
                 pool = ProcessPoolExecutor(
                     max_workers=jobs,
                     initializer=_worker_init,

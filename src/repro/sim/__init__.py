@@ -20,7 +20,7 @@ The mechanisms the paper's results hinge on are all reproduced:
 from repro.sim.cache import CacheConfig, SetAssociativeCache
 from repro.sim.hierarchy import CacheHierarchy, HierarchyConfig
 from repro.sim.memory import SimulatedMemory, VirtualAddressSpace
-from repro.sim.timing import CoreConfig, TimingModel, TimingResult
+from repro.sim.timing import CoreConfig, TimingModel, TimingResult, UopTimes
 from repro.sim.tlb import TLB, TLBConfig
 from repro.sim.trace_cache import TraceCache, TraceCacheStats
 from repro.sim.uop import Tag, Trace, TraceBuilder, Uop, UopKind
@@ -43,5 +43,6 @@ __all__ = [
     "TraceBuilder",
     "Uop",
     "UopKind",
+    "UopTimes",
     "VirtualAddressSpace",
 ]

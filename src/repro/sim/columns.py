@@ -87,9 +87,9 @@ def columns_of(trace: Trace) -> tuple[Shape, tuple[int, ...]]:
 
 
 def schedule_columns(cols: tuple[Shape, tuple[int, ...]], config, removed_mask: int = 0):
-    """Columnar twin of ``TimingModel._schedule``: identical semantics,
+    """Columnar twin of ``TimingModel._walk``: identical semantics,
     primitive-array walk over ``cols``, a ``(shape, latencies)`` pair.
-    Returns ``(cycles, issue_times, ready_times)`` with the tuples in
+    Returns ``(cycles, issue_times, ready_times)`` with the lists in
     reference order.
 
     ``removed_mask`` (bitmask of ``1 << TAG_CODE[tag]``) ablates every uop

@@ -141,6 +141,8 @@ class CacheHierarchy:
                 for v1 in ways1:
                     break
                 del ways1[v1]
+            elif not ways1:
+                ways1 = self._sets1[line % self._n1] = {}
             ways1[line] = None
             return self._lat2
         self.l2.misses += 1
@@ -164,6 +166,8 @@ class CacheHierarchy:
                 vset = self._sets1[v3 % self._n1]
                 if v3 in vset:
                     del vset[v3]
+            elif not ways3:
+                ways3 = self._sets3[line % self._n3] = {}
             ways3[line] = None
             latency = self._lat_dram
         # Fill L2 (back-invalidating its victim from L1), then L1.
@@ -174,11 +178,15 @@ class CacheHierarchy:
             vset = self._sets1[v2 % self._n1]
             if v2 in vset:
                 del vset[v2]
+        elif not ways2:
+            ways2 = self._sets2[line % self._n2] = {}
         ways2[line] = None
         if len(ways1) >= self._a1:
             for v1 in ways1:
                 break
             del ways1[v1]
+        elif not ways1:
+            ways1 = self._sets1[line % self._n1] = {}
         ways1[line] = None
         return latency
 
@@ -218,6 +226,8 @@ class CacheHierarchy:
             victim = next(iter(ways3))
             del ways3[victim]
             self._back_invalidate_l3_victim(victim << self._shift)
+        elif not ways3:
+            ways3 = self._sets3[line % self._n3] = {}
         ways3[line] = None
         self._fill_fast(line, ways1, ways2, fill_l2=True)
         return self._lat_dram
@@ -237,6 +247,8 @@ class CacheHierarchy:
                     vset = self._sets1[victim % self._n1]
                     if victim in vset:
                         del vset[victim]
+                elif not ways2:
+                    ways2 = self._sets2[line % self._n2] = {}
                 ways2[line] = None
         if line in ways1:
             del ways1[line]
@@ -244,6 +256,8 @@ class CacheHierarchy:
         else:
             if len(ways1) >= self._a1:
                 del ways1[next(iter(ways1))]
+            elif not ways1:
+                ways1 = self._sets1[line % self._n1] = {}
             ways1[line] = None
 
     def _fill_inner(self, addr: int) -> None:
@@ -332,6 +346,8 @@ class CacheHierarchy:
                     for v1 in ways1:
                         break
                     del ways1[v1]
+                elif not ways1:
+                    ways1 = sets1[line % n1] = {}
                 ways1[line] = None
                 continue
             m2 += 1
@@ -353,6 +369,8 @@ class CacheHierarchy:
                     vset = sets1[v3 % n1]
                     if v3 in vset:
                         del vset[v3]
+                elif not ways3:
+                    ways3 = sets3[line % n3] = {}
                 ways3[line] = None
             if _len(ways2) >= a2:
                 for v2 in ways2:
@@ -361,11 +379,15 @@ class CacheHierarchy:
                 vset = sets1[v2 % n1]
                 if v2 in vset:
                     del vset[v2]
+            elif not ways2:
+                ways2 = sets2[line % n2] = {}
             ways2[line] = None
             if _len(ways1) >= a1:
                 for v1 in ways1:
                     break
                 del ways1[v1]
+            elif not ways1:
+                ways1 = sets1[line % n1] = {}
             ways1[line] = None
         self.l1.hits += h1
         self.l1.misses += m1
@@ -441,6 +463,8 @@ class CacheHierarchy:
                     vset = sets1[v3 % n1]
                     if v3 in vset:
                         del vset[v3]
+                elif not ways3:
+                    ways3 = sets3[line % n3] = {}
                 ways3[line] = None
             if n - k:
                 self.touch_lines(base + k * 64, n - k)

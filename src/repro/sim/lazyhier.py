@@ -197,8 +197,7 @@ class LazyRingHierarchy(CacheHierarchy):
         for s3, lines in ring.items():
             d3 = self._sets3[s3]
             merged = sorted([(2 * v - 1, x) for x, v in d3.items()] + lines, key=lambda kv: kv[0])
-            d3.clear()
-            d3.update((x, key) for key, x in merged)
+            self._sets3[s3] = {x: key for key, x in merged}
         self._lazy = False
         self._res = bytearray()
         self._sc, self._sp, self._sn, self._si = [], [], [], []
@@ -506,11 +505,10 @@ class LazyRingHierarchy(CacheHierarchy):
         clocks = [Ls[s]]
         while len(clocks) < R:
             clocks.append(self._nth_fill(s, n, clocks[-1] + 1, 1))
-        E = sets[s]
-        old = list(E.items())
-        E.clear()
+        old = sets[s]
+        E = sets[s] = {}
         j = 0
-        for y, v in old:
+        for y, v in old.items():
             while j < R and clocks[j] < (v if v >= 0 else ~v):
                 E[self._line_at(clocks[j])] = clocks[j]
                 j += 1
@@ -538,6 +536,7 @@ class LazyRingHierarchy(CacheHierarchy):
             E = lvl[0][s]
             if line not in E and lvl[4][s] and _RING_BASE_LINE <= line < _RING_END_LINE:
                 self._materialize(lvl, s)
+                E = lvl[0][s]
             E.pop(line, None)
 
     # -------------------------------------------------------------------- L3
@@ -685,11 +684,15 @@ class LazyRingHierarchy(CacheHierarchy):
                         break
                     del ways2[v2]
                     ways1.pop(v2, None)
+                elif not ways2:
+                    ways2 = self._sets2[s2] = {}
             ways2[line] = c
             if len(ways1) >= self._a1:
                 for v1 in ways1:
                     break
                 del ways1[v1]
+            elif not ways1:
+                ways1 = self._sets1[s1] = {}
             ways1[line] = c
         if new_seg:
             self._prune_segs()
@@ -777,8 +780,13 @@ class LazyRingHierarchy(CacheHierarchy):
                 if len(d3) >= self._risk_len:
                     self._l3_room(s3, d3, T, -1)
                     self._risk3[s3] = None
+                    # The victim shares this line's inner sets; dropping it
+                    # may have given them new dicts (_materialize).
+                    ways1, ways2 = self._sets1[s1], self._sets2[s2]
                 elif len(d3) + 1 == self._risk_len:
                     self._risk3[s3] = None
+                if not d3:
+                    d3 = self._sets3[s3] = {}
                 latency = self._lat_dram
             d3[line] = T
             R2 = self._R2[s2]
@@ -793,6 +801,8 @@ class LazyRingHierarchy(CacheHierarchy):
                 del ways2[v2]
                 if v2 in ways1:
                     del ways1[v2]
+            if not ways2:
+                ways2 = self._sets2[s2] = {}
         ways2[line] = T
         R1 = self._R1[s1]
         if R1:
@@ -802,6 +812,8 @@ class LazyRingHierarchy(CacheHierarchy):
             for v1 in ways1:
                 break
             del ways1[v1]
+        if not ways1:
+            ways1 = self._sets1[s1] = {}
         ways1[line] = T
         return latency
 

@@ -54,18 +54,29 @@ class CoreConfig:
     scheduled from scratch)."""
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class TimingResult:
-    """Outcome of scheduling one trace.
+    """The cycle count of one scheduled trace.
 
-    Results coming out of :meth:`TimingModel.run` are memoized and *shared*
-    between trace-cache hits, so the per-uop time vectors are tuples: a
-    caller mutating a list here would silently corrupt every later hit on
-    the same key."""
+    :meth:`TimingModel.run` and :meth:`TimingModel.run_ablated` memoize
+    these, in the per-model caches and the shared
+    :data:`~repro.sim.trace_cache.SCHEDULE_MEMO`, and share one object
+    between hits, so a result holds the cycles only.  Per-uop issue and
+    ready times come from :meth:`TimingModel.uop_times`, which is never
+    memoized."""
 
     cycles: int
-    issue_times: tuple[int, ...] = ()
-    ready_times: tuple[int, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class UopTimes:
+    """One trace scheduled by :meth:`TimingModel.uop_times`: its cycles
+    and, per uop in trace order, the cycle it issued and the cycle its
+    result was ready."""
+
+    cycles: int
+    issue_times: tuple[int, ...]
+    ready_times: tuple[int, ...]
 
     @property
     def num_uops(self) -> int:
@@ -170,6 +181,23 @@ class TimingModel:
             return self._schedule_ablated_columnar(trace, tags)
         return self._schedule(trace.without_tags(tags))
 
+    def uop_times(self, trace: Trace) -> UopTimes:
+        """Schedule ``trace`` on this model's engine, unmemoized, and
+        return its cycles with every uop's issue and ready times.  The
+        cycles equal :meth:`run`'s; nothing is read from or added to a
+        memo."""
+        shape = getattr(trace, "_columns", None) if self.columnar else None
+        if shape is None:
+            scheduled = self._walk(trace)
+        else:
+            scheduled = schedule_columns((shape, trace.fingerprint()[1]), self.config)
+        completion, issue_times, ready_times = scheduled
+        return UopTimes(
+            completion + self.config.pipeline_overhead,
+            tuple(issue_times),
+            tuple(ready_times),
+        )
+
     # ----------------------------------------------------- columnar schedule
     def _compile(self, trace: Trace):
         """Compile ``trace`` to columns, counting the compilation."""
@@ -218,15 +246,16 @@ class TimingModel:
         )
 
     def _result(self, scheduled) -> TimingResult:
-        completion, issue_times, ready_times = scheduled
-        return TimingResult(
-            cycles=completion + self.config.pipeline_overhead,
-            issue_times=tuple(issue_times),
-            ready_times=tuple(ready_times),
-        )
+        return TimingResult(scheduled[0] + self.config.pipeline_overhead)
 
     # --------------------------------------------------------------- schedule
     def _schedule(self, trace: Trace) -> TimingResult:
+        return self._result(self._walk(trace))
+
+    def _walk(self, trace: Trace) -> tuple[int, list[int], list[int]]:
+        """The object-path schedule: ``(completion, issue_times,
+        ready_times)``, the same triple as
+        :func:`~repro.sim.columns.schedule_columns`."""
         # Hot loop: every name used per-uop is a local (attribute chains and
         # enum lookups hoisted), with behavior identical to the obvious
         # spelling — memoization makes this the cost of every cache *miss*.
@@ -291,13 +320,7 @@ class TimingModel:
             retire_append(retire_frontier)
             if on_path > completion:
                 completion = on_path
-
-        cycles = completion + self.config.pipeline_overhead
-        return TimingResult(
-            cycles=cycles,
-            issue_times=tuple(issue_times),
-            ready_times=tuple(ready_times),
-        )
+        return completion, issue_times, ready_times
 
     def critical_path(self, trace: Trace) -> int:
         """Latency-only lower bound: the longest dependence chain, ignoring

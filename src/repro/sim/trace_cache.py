@@ -36,9 +36,9 @@ Correctness rests on two guarantees:
   the (immutable) :class:`~repro.sim.timing.CoreConfig`, and the config is
   part of every shared key, so configs never mix;
 * **immutability** — cached :class:`~repro.sim.timing.TimingResult` objects
-  are shared between hits and machines and must not be mutated by callers
-  (nothing in the repository does; the differential sweep in
-  ``tests/integration/test_trace_cache_differential.py`` would catch it).
+  are shared between hits and machines; they are frozen and hold a trace's
+  cycles only (per-uop times come from the unmemoized
+  :meth:`~repro.sim.timing.TimingModel.uop_times`).
 
 Memoization is decided by the machine alone.  To debug the scheduler
 itself, disable both levels with a machine built on

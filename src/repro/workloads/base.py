@@ -26,7 +26,7 @@ class OpKind(enum.Enum):
     callback for the antagonist microbenchmark)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Op:
     """One event in a workload stream."""
 

@@ -1,8 +1,12 @@
 """Tests for the TCMalloc facade."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.alloc import AllocatorConfig, Path, TCMalloc
+from repro.alloc.allocator import NO_ABLATIONS, shared_ablated
 from repro.sim.uop import LIMIT_STUDY_TAGS, Tag
 
 
@@ -184,6 +188,65 @@ class TestAblations:
         )
         _, rec = alloc.malloc(64)
         assert set(rec.ablated) == {"sc", "pp"}
+
+
+class TestSharedAblatedMaps:
+    """Records with equal ablated cycles, none included, hold one shared
+    read-only map."""
+
+    @pytest.fixture(scope="class")
+    def replay(self):
+        from repro.harness.experiments import make_baseline, make_mallacc
+        from repro.harness.runner import run_workload
+        from repro.workloads import MICROBENCHMARKS
+
+        ops = list(MICROBENCHMARKS["gauss_free"].ops(seed=3, num_ops=600))
+        return [run_workload(a, ops, name="gauss_free").records
+                for a in (make_baseline(), make_mallacc())]
+
+    def test_equal_maps_are_one_object(self, replay):
+        baseline, mallacc = replay
+        shared = {}
+        for rec in baseline:
+            assert shared.setdefault(frozenset(rec.ablated.items()), rec.ablated) is rec.ablated
+        assert len(shared) > 1  # the limit cycles differ between calls
+        assert all(rec.ablated is NO_ABLATIONS for rec in mallacc)
+
+    def test_compares_equal_to_a_plain_dict(self, replay):
+        rec = replay[0][-1]
+        assert rec.ablated == {"limit": rec.ablated["limit"]}
+        assert replay[1][-1].ablated == {}
+
+    @pytest.mark.parametrize("write", [
+        lambda m: m.__setitem__("limit", 1),
+        lambda m: m.__delitem__("limit"),
+        lambda m: m.update(limit=1),
+        lambda m: m.setdefault("other", 1),
+        lambda m: m.pop("limit"),
+        lambda m: m.popitem(),
+        lambda m: m.clear(),
+        lambda m: m.__ior__({"limit": 1}),
+    ], ids=["setitem", "delitem", "update", "setdefault", "pop", "popitem", "clear", "ior"])
+    def test_writing_raises(self, replay, write):
+        rec = replay[0][-1]
+        before = dict(rec.ablated)
+        with pytest.raises(TypeError):
+            write(rec.ablated)
+        assert rec.ablated == before
+
+    def test_pickle_round_trip(self, replay):
+        for rec in (replay[0][-1], replay[1][-1]):
+            back = pickle.loads(pickle.dumps(rec))
+            assert back == rec
+            assert back.ablated is rec.ablated
+
+    def test_replace_with_a_new_mapping(self, replay):
+        rec = replay[0][-1]
+        before = rec.ablated
+        changed = dataclasses.replace(rec, ablated={"limit": 1})
+        assert changed.ablated == {"limit": 1} and changed.cycles == rec.cycles
+        assert rec.ablated is before
+        assert shared_ablated({"limit": 1}) is shared_ablated({"limit": 1})
 
 
 class TestSampling:

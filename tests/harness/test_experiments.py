@@ -35,7 +35,7 @@ class TestComparisonMath:
 
     def test_limit_improvement_reads_ablation(self):
         base = result_with([100])
-        base.records[0].ablated[LIMIT_ABLATION] = 50
+        base.records[0].ablated = {LIMIT_ABLATION: 50}
         c = WorkloadComparison(workload="w", baseline=base, mallacc=result_with([90]))
         assert c.allocator_limit_improvement == pytest.approx(50.0)
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.cache import CacheConfig, SetAssociativeCache
+from repro.sim.cache import UNFILLED, CacheConfig, SetAssociativeCache
+from repro.sim.hierarchy import CacheHierarchy
 
 
 def small_cache(assoc=4, sets=4, line=64):
@@ -103,6 +104,52 @@ class TestMaintenance:
         c.lookup(0x000, update_lru=False)
         victim = c.insert(0x080)
         assert victim == 0x000  # 0x000 stayed LRU
+
+
+class TestFirstFill:
+    """A set gets its own dict on its first fill; until then it is the one
+    shared, read-only, empty placeholder."""
+
+    def test_unfilled_sets_share_one_read_only_placeholder(self):
+        c = small_cache()
+        assert all(ways is UNFILLED for ways in c._sets)
+        with pytest.raises(TypeError):
+            UNFILLED[1] = None
+        with pytest.raises(TypeError):
+            UNFILLED.update({1: None})
+        assert not UNFILLED
+
+    def test_first_fill_gives_only_that_set_a_dict(self):
+        c = small_cache(assoc=2, sets=4)
+        c.insert(0x040)  # set 1
+        assert [ways is UNFILLED for ways in c._sets] == [True, False, True, True]
+        assert c.contains(0x040) and not c.contains(0x080)
+
+    def test_set_emptied_by_invalidation_refills(self):
+        c = small_cache(assoc=2, sets=4)
+        c.insert(0x040)
+        c.invalidate(0x040)
+        assert c.insert(0x140) is None  # same set, now empty
+        assert c.contains(0x140) and c.resident_lines == 1
+        assert not UNFILLED
+
+    def test_flush_returns_every_set_to_the_placeholder(self):
+        c = small_cache()
+        sets = c._sets
+        for i in range(8):
+            c.insert(i * 64)
+        c.flush()
+        assert c._sets is sets  # hierarchies hold the list itself
+        assert all(ways is UNFILLED for ways in sets)
+
+    def test_hierarchy_walk_fills_only_touched_sets(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_IMPL", raising=False)
+        h = CacheHierarchy()
+        for addr in (0x1000, 0x1040, 0x1000):
+            h.access(addr)
+        filled = [sum(ways is not UNFILLED for ways in level._sets) for level in h.levels]
+        assert filled == [2, 2, 2]
+        assert h.l1.resident_lines == 2 and not UNFILLED
 
 
 class TestAntagonist:

@@ -4,8 +4,9 @@ Templates are harvested from a real replay (the interner's live
 variants), so the columns under test are the ones the engine actually
 walks — every uop kind, store-buffer flag, CSR dependence shape, and tag
 mix the allocators emit.  Each template must schedule to the identical
-:class:`~repro.sim.timing.TimingResult` through the flat arrays, with and
-without tag ablation.
+cycles and per-uop times through the flat arrays as through the object walk
+(:meth:`~repro.sim.timing.TimingModel.uop_times`), with and without tag
+ablation.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.sim.columns import (
     removed_tag_mask,
     schedule_columns,
 )
+from repro.sim.timing import TimingModel
 from repro.sim.uop import Tag
 
 
@@ -35,6 +37,8 @@ def _templates():
 
 
 MACHINE, TEMPLATES = _templates()
+#: The object-walk scheduler, the reference the columns are held to.
+OBJECT = TimingModel(MACHINE.timing.config, columnar=False)
 
 #: Tag sets the limit-study ablations actually use, plus a mixed one.
 ABLATIONS = [
@@ -55,7 +59,7 @@ def test_harvest_is_representative():
 def test_schedule_columns_matches_object_scheduler():
     timing = MACHINE.timing
     for trace in TEMPLATES:
-        ref = timing._schedule(trace)
+        ref = OBJECT.uop_times(trace)
         completion, issue, ready = schedule_columns(columns_of(trace), timing.config)
         assert completion + timing.config.pipeline_overhead == ref.cycles, trace
         assert tuple(issue) == ref.issue_times
@@ -69,7 +73,7 @@ def test_ablated_schedule_matches_without_tags(tags):
     timing = MACHINE.timing
     mask = removed_tag_mask(tags)
     for trace in TEMPLATES:
-        ref = timing._schedule(trace.without_tags(tags))
+        ref = OBJECT.uop_times(trace.without_tags(tags))
         completion, issue, ready = schedule_columns(
             columns_of(trace), timing.config, mask
         )

@@ -1,8 +1,11 @@
 """Tests for the dependency-graph timing model."""
 
+import dataclasses
+
 import pytest
 
-from repro.sim.timing import CoreConfig, TimingModel
+from repro.sim import trace_cache
+from repro.sim.timing import CoreConfig, TimingModel, TimingResult
 from repro.sim.uop import Tag, Trace, TraceBuilder
 
 
@@ -122,7 +125,7 @@ class TestResult:
         tb = TraceBuilder()
         tb.alu()
         tb.alu()
-        r = tm.run(tb.build())
+        r = tm.uop_times(tb.build())
         assert r.num_uops == 2
         assert len(r.issue_times) == len(r.ready_times) == 2
 
@@ -131,7 +134,7 @@ class TestResult:
         tb = TraceBuilder()
         for _ in range(4):
             tb.alu()
-        r = tm.run(tb.build())
+        r = tm.uop_times(tb.build())
         assert r.ipc == pytest.approx(4.0)
 
     def test_deterministic(self):
@@ -215,8 +218,9 @@ class TestROB:
 
 
 class TestSharedResults:
-    """Memoized TimingResults are shared between trace-cache hits; the
-    per-uop time vectors are tuples so no caller can corrupt a later hit."""
+    """Memoized TimingResults are shared between trace-cache hits and hold
+    the cycles only; per-uop times come from the unmemoized
+    ``uop_times``."""
 
     def _trace(self):
         tb = TraceBuilder()
@@ -225,17 +229,25 @@ class TestSharedResults:
         tb.store(0x2000, deps=(a,))
         return tb.build()
 
-    def test_times_are_tuples(self):
+    def test_memoized_result_holds_cycles_only(self):
         r = model().run(self._trace())
-        assert isinstance(r.issue_times, tuple)
-        assert isinstance(r.ready_times, tuple)
-        with pytest.raises(TypeError):
-            r.issue_times[0] = 99
+        assert [f.name for f in dataclasses.fields(TimingResult)] == ["cycles"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.cycles = 99
 
     def test_unmemoized_schedule_also_returns_tuples(self):
-        r = model(trace_cache_entries=0)._schedule(self._trace())
+        r = model(trace_cache_entries=0).uop_times(self._trace())
         assert isinstance(r.issue_times, tuple)
         assert isinstance(r.ready_times, tuple)
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_uop_times_is_unmemoized_and_agrees_with_run(self, columnar, cold_memos):
+        tm = TimingModel(CoreConfig(), columnar=columnar)
+        trace = self._trace()
+        times = tm.uop_times(trace)
+        assert tm.cache_stats.lookups == 0 and len(trace_cache.SCHEDULE_MEMO) == 0
+        assert times.cycles == tm.run(trace).cycles
+        assert times.num_uops == len(trace)
 
     def test_equal_fingerprints_share_one_result_object(self):
         tm = model()
@@ -243,10 +255,3 @@ class TestSharedResults:
         r2 = tm.run(self._trace())  # separately built, same fingerprint
         assert r1 is r2
         assert tm.cache_stats.hits == 1
-
-    def test_default_result_vectors_empty_tuples(self):
-        from repro.sim.timing import TimingResult
-
-        r = TimingResult(cycles=2)
-        assert r.issue_times == () and r.ready_times == ()
-        assert r.num_uops == 0

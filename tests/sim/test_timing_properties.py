@@ -56,7 +56,7 @@ def test_cycles_at_least_critical_path_plus_overhead(trace):
 @given(traces())
 @settings(max_examples=60, deadline=None)
 def test_ipc_never_exceeds_issue_width(trace):
-    result = TM.run(trace)
+    result = TM.uop_times(trace)
     assert result.ipc <= TM.config.issue_width
 
 
@@ -150,7 +150,7 @@ def test_extra_edge_rarely_faster(case):
 @given(traces())
 @settings(max_examples=60, deadline=None)
 def test_issue_respects_dependences(trace):
-    result = TM.run(trace)
+    result = TM.uop_times(trace)
     for i, uop in enumerate(trace):
         for dep in uop.deps:
             assert result.issue_times[i] >= result.ready_times[dep]
@@ -159,7 +159,7 @@ def test_issue_respects_dependences(trace):
 @given(traces())
 @settings(max_examples=40, deadline=None)
 def test_issue_width_never_exceeded(trace):
-    result = TM.run(trace)
+    result = TM.uop_times(trace)
     per_cycle: dict[int, int] = {}
     for t in result.issue_times:
         per_cycle[t] = per_cycle.get(t, 0) + 1
@@ -169,7 +169,7 @@ def test_issue_width_never_exceeded(trace):
 @given(traces())
 @settings(max_examples=40, deadline=None)
 def test_load_ports_never_exceeded(trace):
-    result = TM.run(trace)
+    result = TM.uop_times(trace)
     per_cycle: dict[int, int] = {}
     for i, uop in enumerate(trace):
         if uop.kind in (UopKind.LOAD, UopKind.PREFETCH):

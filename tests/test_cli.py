@@ -82,7 +82,7 @@ class TestCli:
         assert "coverage" in out and "intern_hits" in out
         assert "fused twins" in out
 
-    def test_profile_json(self, capsys):
+    def test_profile_json(self, capsys, cold_memos):
         import json
 
         out = run_cli(capsys, "profile", "tp_small", "--ops", "300", "--json")
